@@ -106,7 +106,6 @@ int run_bench(const std::string& path, bool quick) {
       scenario::CampaignOptions options;
       options.out_dir = store.string();
       options.quick = quick;
-      options.threads = 1;
       options.jobs = jobs;
       (void)scenario::run_campaign(presets, options);
       fs::remove_all(store);
@@ -125,8 +124,8 @@ int run_bench(const std::string& path, bool quick) {
   bench::fprint_provenance(out);
   std::fprintf(out,
                "  \"note\": \"best of %d repetitions; %zu built-in presets, "
-               "%s budgets, eval threads pinned to 1 so the jobs axis "
-               "isolates the campaign scheduler\",\n",
+               "%s budgets; optimizer runs are sequential, so the jobs "
+               "axis isolates the campaign scheduler\",\n",
                reps, presets.size(), quick ? "quick" : "full");
   std::fprintf(out, "  \"scenarios\": %zu,\n", presets.size());
   std::fprintf(out, "  \"calibration\": {\"cold_s\": %.6f, \"warm_s\": %.6f, "

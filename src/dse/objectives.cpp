@@ -4,7 +4,6 @@
 #include <string>
 
 #include "dse/eval_cache.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wsnex::dse {
 
@@ -37,9 +36,7 @@ namespace {
 class MemoizedFullModelObjective final : public BatchObjectiveFunction {
  public:
   MemoizedFullModelObjective(const model::NetworkModelEvaluator& evaluator,
-                             const DesignSpace& space,
-                             std::size_t worker_slots,
-                             SharedEvalCache* cache)
+                             const DesignSpace& space, SharedEvalCache* cache)
       : evaluator_(&evaluator),
         apps_(space.config().apps),
         table_(cache != nullptr
@@ -47,8 +44,7 @@ class MemoizedFullModelObjective final : public BatchObjectiveFunction {
                                       space.config().mcu_freq_khz_grid)
                    : std::make_shared<model::AppLayerTable>(
                          evaluator, space.config().cr_grid,
-                         space.config().mcu_freq_khz_grid)),
-        scratch_(worker_slots == 0 ? 1 : worker_slots) {
+                         space.config().mcu_freq_khz_grid)) {
     const DesignSpaceConfig& cfg = space.config();
     const double fer = evaluator.options().frame_error_rate;
     always_infeasible_ = apps_.empty() || fer < 0.0 || fer >= 1.0;
@@ -88,13 +84,13 @@ class MemoizedFullModelObjective final : public BatchObjectiveFunction {
   }
 
   std::size_t arity() const override { return 3; }
-  std::size_t worker_slots() const override { return scratch_.size(); }
+  std::size_t worker_slots() const override { return 1; }
 
   std::size_t evaluate(const Genome& genome, std::span<double> out,
-                       std::size_t worker) const override {
+                       std::size_t /*worker*/) const override {
     if (always_infeasible_) return 0;
     const std::size_t n = apps_.size();
-    Scratch& ws = scratch_[worker];
+    Scratch& ws = scratch_;
     ws.app_stage.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       ws.app_stage[i] = table_->at(apps_[i], genome[2 * i], genome[2 * i + 1]);
@@ -129,19 +125,17 @@ class MemoizedFullModelObjective final : public BatchObjectiveFunction {
   std::size_t bco_count_ = 0;
   std::size_t gap_count_ = 0;
   bool always_infeasible_ = false;
-  mutable std::vector<Scratch> scratch_;
+  mutable Scratch scratch_;
 };
 
 /// Decode-and-forward adapter from the scalar API.
 class ScalarBatchAdapter final : public BatchObjectiveFunction {
  public:
-  ScalarBatchAdapter(const DesignSpace& space, const ObjectiveFunction& fn,
-                     std::size_t worker_slots)
-      : space_(&space), fn_(&fn),
-        worker_slots_(worker_slots == 0 ? 1 : worker_slots) {}
+  ScalarBatchAdapter(const DesignSpace& space, const ObjectiveFunction& fn)
+      : space_(&space), fn_(&fn) {}
 
   std::size_t arity() const override { return kMaxObjectives; }
-  std::size_t worker_slots() const override { return worker_slots_; }
+  std::size_t worker_slots() const override { return 1; }
 
   std::size_t evaluate(const Genome& genome, std::span<double> out,
                        std::size_t /*worker*/) const override {
@@ -160,26 +154,23 @@ class ScalarBatchAdapter final : public BatchObjectiveFunction {
  private:
   const DesignSpace* space_;
   const ObjectiveFunction* fn_;
-  std::size_t worker_slots_;
 };
 
 }  // namespace
 
 std::unique_ptr<BatchObjectiveFunction> make_memoized_full_model_objective(
     const model::NetworkModelEvaluator& evaluator, const DesignSpace& space,
-    std::size_t worker_slots, SharedEvalCache* cache) {
+    std::size_t /*worker_slots*/, SharedEvalCache* cache) {
   return std::make_unique<MemoizedFullModelObjective>(evaluator, space,
-                                                      worker_slots, cache);
+                                                      cache);
 }
 
 std::unique_ptr<BatchObjectiveFunction> make_batch_adapter(
-    const DesignSpace& space, const ObjectiveFunction& fn,
-    std::size_t worker_slots) {
-  return std::make_unique<ScalarBatchAdapter>(space, fn, worker_slots);
+    const DesignSpace& space, const ObjectiveFunction& fn) {
+  return std::make_unique<ScalarBatchAdapter>(space, fn);
 }
 
 void evaluate_genome_batch(const BatchObjectiveFunction& fn,
-                           util::ThreadPool* pool,
                            std::span<const Genome> genomes,
                            std::span<double> values,
                            std::span<std::uint8_t> counts) {
@@ -188,20 +179,10 @@ void evaluate_genome_batch(const BatchObjectiveFunction& fn,
       counts.size() < genomes.size()) {
     throw std::invalid_argument("evaluate_genome_batch: buffer too small");
   }
-  if (pool != nullptr && pool->size() > fn.worker_slots()) {
-    throw std::invalid_argument(
-        "evaluate_genome_batch: pool wider than the objective's worker "
-        "slots");
-  }
-  const auto eval_one = [&](std::size_t i, std::size_t worker) {
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
     counts[i] = static_cast<std::uint8_t>(
-        fn.evaluate(genomes[i], values.subspan(i * stride, stride), worker));
-  };
-  if (pool == nullptr || pool->size() == 1) {
-    for (std::size_t i = 0; i < genomes.size(); ++i) eval_one(i, 0);
-    return;
+        fn.evaluate(genomes[i], values.subspan(i * stride, stride), 0));
   }
-  pool->parallel_for(0, genomes.size(), eval_one);
 }
 
 }  // namespace wsnex::dse

@@ -3,13 +3,9 @@
 // Two evaluation surfaces coexist:
 //  * the scalar ObjectiveFunction (design -> optional objective vector),
 //    the original one-design-at-a-time API, and
-//  * BatchObjectiveFunction, the DSE hot-path API: genome-indexed,
-//    allocation-free after warm-up, and evaluable from multiple worker
-//    threads at once (one scratch slot per worker).
-// evaluate_genome_batch() fans a genome batch across a util::ThreadPool
-// with index-ordered result placement, so the outcome of a batch is
-// independent of the worker count — the foundation of the optimizers'
-// threads=1 vs threads=N determinism guarantee.
+//  * BatchObjectiveFunction, the DSE hot-path API: genome-indexed and
+//    allocation-free after warm-up. evaluate_genome_batch() runs a genome
+//    batch on the calling thread with index-ordered result placement.
 #pragma once
 
 #include <atomic>
@@ -21,10 +17,6 @@
 
 #include "dse/design_space.hpp"
 #include "model/baseline.hpp"
-
-namespace wsnex::util {
-class ThreadPool;  // util/thread_pool.hpp — only referenced by pointer here
-}
 
 namespace wsnex::dse {
 
@@ -54,9 +46,9 @@ ObjectiveFunction make_baseline_objective(
 /// full model has 3, the energy/delay baseline 2).
 inline constexpr std::size_t kMaxObjectives = 4;
 
-/// Batched, genome-indexed objective. Implementations own one scratch
-/// slot per worker; calls with distinct `worker` values (each below
-/// worker_slots()) may run concurrently, calls sharing a slot must not.
+/// Batched, genome-indexed objective. The library's implementations own
+/// one scratch slot and the optimizers always pass worker 0; calls sharing
+/// a slot must not run concurrently.
 class BatchObjectiveFunction {
  public:
   virtual ~BatchObjectiveFunction() = default;
@@ -65,7 +57,7 @@ class BatchObjectiveFunction {
   /// for batch value buffers. Never exceeds kMaxObjectives.
   virtual std::size_t arity() const = 0;
 
-  /// Number of concurrent worker slots available.
+  /// Unused by the library; kept for source compatibility.
   virtual std::size_t worker_slots() const = 0;
 
   /// Evaluates the design encoded by `genome`. Writes the objective
@@ -98,35 +90,30 @@ class BatchObjectiveFunction {
 /// per process. Cached artifacts are immutable and key-matched on the
 /// full configuration, so results stay bit-identical; the cache must
 /// outlive the returned object.
+///
+/// `worker_slots` is ignored; kept for source compatibility.
 std::unique_ptr<BatchObjectiveFunction> make_memoized_full_model_objective(
     const model::NetworkModelEvaluator& evaluator, const DesignSpace& space,
     std::size_t worker_slots = 1, SharedEvalCache* cache = nullptr);
 
 /// Adapts a scalar ObjectiveFunction to the batch interface by decoding
-/// each genome and forwarding. With more than one worker slot the wrapped
-/// function is called from multiple threads at once and must be
-/// thread-safe (the model-backed objectives above are; beware of stateful
-/// lambdas).
+/// each genome and forwarding.
 std::unique_ptr<BatchObjectiveFunction> make_batch_adapter(
-    const DesignSpace& space, const ObjectiveFunction& fn,
-    std::size_t worker_slots = 1);
+    const DesignSpace& space, const ObjectiveFunction& fn);
 
-/// Evaluates genomes[i] into counts[i] / values[i * fn.arity() ...) across
-/// the pool's workers (pool == nullptr runs inline on worker slot 0).
-/// Result placement is by index, so the output is independent of the
-/// worker count. `values` must hold genomes.size() * fn.arity() doubles
-/// and `counts` genomes.size() entries (0 == infeasible). Throws
-/// std::invalid_argument when the pool is wider than fn.worker_slots().
+/// Evaluates genomes[i] into counts[i] / values[i * fn.arity() ...) on the
+/// calling thread, worker slot 0. `values` must hold
+/// genomes.size() * fn.arity() doubles and `counts` genomes.size() entries
+/// (0 == infeasible); throws std::invalid_argument otherwise.
 void evaluate_genome_batch(const BatchObjectiveFunction& fn,
-                           util::ThreadPool* pool,
                            std::span<const Genome> genomes,
                            std::span<double> values,
                            std::span<std::uint8_t> counts);
 
 /// Counts evaluations (shared by the DSE throughput accounting).
-/// Thread-safe: the counter is atomic, so the wrapped function may be
-/// driven through a multi-threaded batch adapter (the wrapped fn itself
-/// must then be thread-safe too).
+/// Thread-safe: the counter is atomic, so one instance may be shared by
+/// runs on different threads (the wrapped fn must then be thread-safe
+/// too).
 class CountingObjective {
  public:
   explicit CountingObjective(ObjectiveFunction fn) : fn_(std::move(fn)) {}

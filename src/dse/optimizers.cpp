@@ -6,11 +6,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
-
-#include "util/thread_pool.hpp"
 
 namespace wsnex::dse {
 namespace {
@@ -112,14 +109,13 @@ class PopulationRanker {
   std::vector<double> crowd_;
 };
 
-/// Shared batch-evaluation state: the pool (absent when one worker
-/// suffices), the flat value/count buffers and the bookkeeping that turns
-/// raw rows into archive entries and counters in index order.
+/// Shared batch-evaluation state: the flat value/count buffers and the
+/// bookkeeping that turns raw rows into archive entries and counters in
+/// index order.
 class BatchRunner {
  public:
-  BatchRunner(const BatchObjectiveFunction& fn, std::size_t threads,
-              util::ThreadPool* external_pool)
-      : fn_(&fn), stride_(fn.arity()), external_pool_(external_pool) {
+  explicit BatchRunner(const BatchObjectiveFunction& fn)
+      : fn_(&fn), stride_(fn.arity()) {
     if (stride_ == 0 || stride_ > kMaxObjectives) {
       // Individuals hold objectives inline; an out-of-contract arity
       // must fail loudly, not overrun those arrays.
@@ -127,33 +123,13 @@ class BatchRunner {
           "BatchObjectiveFunction::arity() must be in 1.." +
           std::to_string(kMaxObjectives));
     }
-    if (external_pool_ == nullptr) {
-      const std::size_t resolved = std::min(
-          util::ThreadPool::resolve_threads(threads), fn.worker_slots());
-      if (resolved > 1) pool_ = std::make_unique<util::ThreadPool>(resolved);
-    }
   }
 
-  std::size_t width() const {
-    const util::ThreadPool* pool =
-        external_pool_ != nullptr ? external_pool_ : pool_.get();
-    return pool != nullptr ? pool->size() : 1;
-  }
-  std::size_t stride() const { return stride_; }
-
-  /// Evaluates all genomes; results land in row order in values()/counts().
+  /// Evaluates all genomes; results land in row order in row()/count().
   void evaluate(std::span<const Genome> genomes) {
     values_.resize(genomes.size() * stride_);
     counts_.resize(genomes.size());
-    // Waking the pool for a single genome is pure synchronization
-    // overhead (e.g. MOSA's feasible-start retries); results are
-    // index-ordered either way, so running inline changes nothing.
-    util::ThreadPool* pool =
-        external_pool_ != nullptr ? external_pool_ : pool_.get();
-    if (genomes.size() <= 1 || (pool != nullptr && pool->size() == 1)) {
-      pool = nullptr;
-    }
-    evaluate_genome_batch(*fn_, pool, genomes, values_, counts_);
+    evaluate_genome_batch(*fn_, genomes, values_, counts_);
   }
 
   const double* row(std::size_t i) const {
@@ -178,8 +154,6 @@ class BatchRunner {
  private:
   const BatchObjectiveFunction* fn_;
   std::size_t stride_;
-  util::ThreadPool* external_pool_;  ///< campaign-shared; not owned
-  std::unique_ptr<util::ThreadPool> pool_;
   std::vector<double> values_;
   std::vector<std::uint8_t> counts_;
 };
@@ -222,14 +196,14 @@ DseResult run_nsga2_batch(const DesignSpace& space,
   const Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
-  BatchRunner runner(fn, options.threads, options.pool);
+  BatchRunner runner(fn);
   PopulationRanker ranker;
 
   // The whole generation is drawn before any evaluation. Objective calls
   // consume no PRNG state, so pulling them out of the draw loop leaves
   // the random stream — and therefore the run — bit-identical to the
-  // former draw-evaluate interleaving while exposing a full batch to the
-  // worker pool.
+  // former draw-evaluate interleaving while handing the objective one
+  // batch per generation.
   std::vector<Genome> pending(options.population);
   std::vector<Individual> population;
   population.reserve(2 * options.population);
@@ -294,16 +268,14 @@ DseResult run_mosa_batch(const DesignSpace& space,
   const Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
-  BatchRunner runner(fn, options.threads, options.pool);
+  BatchRunner runner(fn);
 
-  std::vector<Genome> single(1);
   const auto evaluate_one = [&](const Genome& genome) -> bool {
-    single[0] = genome;
-    runner.evaluate(single);
+    runner.evaluate(std::span<const Genome>(&genome, 1));
     return runner.book(0, genome, result);
   };
 
-  // Start from a feasible point (bounded retries), exactly as before.
+  // Start from a feasible point (bounded retries).
   Genome current = space.random_genome(rng);
   bool have_current = evaluate_one(current);
   for (int tries = 0; !have_current && tries < 512; ++tries) {
@@ -318,80 +290,34 @@ DseResult run_mosa_batch(const DesignSpace& space,
   std::array<double, kMaxObjectives> current_obj{};
   std::copy_n(runner.row(0), m, current_obj.begin());
 
-  // Speculative lookahead: draw `width` proposals assuming the chain
-  // rejects each one (the dominant outcome once cooled), evaluate them as
-  // one parallel batch, then replay the exact sequential accept rule.
-  // Each proposal snapshots the PRNG around its acceptance draw so a
-  // misprediction rewinds the stream to precisely where the sequential
-  // algorithm would be; discarded speculative evaluations never reach the
-  // archive or the counters. Width 1 degenerates to the classic loop.
-  struct Proposal {
-    Genome genome;
-    util::Rng rng_after_mutate{0};
-    util::Rng rng_after_u{0};
-    double u = 0.0;
-  };
-  const std::size_t width = runner.width();
-  std::vector<Proposal> proposals(width);
-  std::vector<Genome> batch(width);
-
+  Genome neighbour;
   double temperature = options.initial_temperature;
-  std::size_t it = 0;
-  std::size_t round = 0;
-  notify_progress(options.progress, round, result, watch);
-  while (it < options.iterations) {
-    const std::size_t b_count = std::min(width, options.iterations - it);
-    for (std::size_t b = 0; b < b_count; ++b) {
-      Proposal& p = proposals[b];
-      p.genome = current;
-      space.mutate(p.genome, rng, options.mutation_rate);
-      p.rng_after_mutate = rng;
-      // Pre-commit the acceptance uniform: bernoulli(p) == (u < p).
-      p.u = rng.uniform01();
-      p.rng_after_u = rng;
-      batch[b] = p.genome;
-    }
-    runner.evaluate(std::span<const Genome>(batch.data(), b_count));
-
-    for (std::size_t b = 0; b < b_count; ++b) {
-      const Proposal& p = proposals[b];
-      const bool feasible = runner.book(b, p.genome, result);
-      temperature *= options.cooling;
-      ++it;
-      if (!feasible) {
-        // Sequential algorithm would not have drawn the acceptance
-        // uniform: rewind and invalidate the rest of the batch.
-        rng = p.rng_after_mutate;
-        break;
-      }
-      const double* neighbour_obj = runner.row(b);
-      bool accept;
-      bool used_u = false;
-      if (!detail::dominates_row(current_obj.data(), neighbour_obj, m)) {
-        // Neighbour is non-dominated w.r.t. current (or dominates it).
-        accept = true;
-      } else {
+  notify_progress(options.progress, 0, result, watch);
+  for (std::size_t it = 0; it < options.iterations; ++it) {
+    neighbour = current;
+    space.mutate(neighbour, rng, options.mutation_rate);
+    const bool feasible = evaluate_one(neighbour);
+    temperature *= options.cooling;
+    // An infeasible neighbour is rejected without an acceptance draw.
+    if (feasible) {
+      const double* neighbour_obj = runner.row(0);
+      bool accept = true;  // not dominated by the current point
+      if (detail::dominates_row(current_obj.data(), neighbour_obj, m)) {
         // Dominated: accept with probability exp(-relative worsening / T).
         double worsening = 0.0;
         for (std::size_t k = 0; k < m; ++k) {
           const double denom = std::abs(current_obj[k]) + 1e-12;
           worsening += (neighbour_obj[k] - current_obj[k]) / denom;
         }
-        accept = p.u < std::exp(-worsening / std::max(temperature, 1e-9));
-        used_u = true;
+        accept = rng.uniform01() <
+                 std::exp(-worsening / std::max(temperature, 1e-9));
       }
       if (accept) {
-        current = p.genome;
+        current.swap(neighbour);
         std::copy_n(neighbour_obj, m, current_obj.begin());
-        // The chain moved: later speculative proposals were drawn from
-        // the wrong state. Rewind past exactly the draws consumed here.
-        rng = used_u ? p.rng_after_u : p.rng_after_mutate;
-        break;
       }
-      // Rejected with the uniform consumed — the speculation assumption
-      // held; the next proposal in the batch is already valid.
     }
-    notify_progress(options.progress, ++round, result, watch);
+    notify_progress(options.progress, it + 1, result, watch);
   }
   result.wallclock_s = watch.elapsed_s();
   return result;
@@ -399,24 +325,9 @@ DseResult run_mosa_batch(const DesignSpace& space,
 
 }  // namespace
 
-namespace {
-
-/// The scalar entry points cannot assume the wrapped std::function is
-/// thread-safe (that contract predates the batch engine), so threads = 0
-/// means "inline" there instead of "hardware concurrency"; callers opt
-/// into parallel scalar evaluation by setting threads explicitly.
-std::size_t scalar_threads(std::size_t threads) {
-  return threads == 0 ? 1 : threads;
-}
-
-}  // namespace
-
 DseResult run_nsga2(const DesignSpace& space, const ObjectiveFunction& fn,
                     const Nsga2Options& options) {
-  Nsga2Options serial_default = options;
-  serial_default.threads = scalar_threads(options.threads);
-  const auto batch = make_batch_adapter(space, fn, serial_default.threads);
-  return run_nsga2_batch(space, *batch, serial_default);
+  return run_nsga2_batch(space, *make_batch_adapter(space, fn), options);
 }
 
 DseResult run_nsga2(const DesignSpace& space,
@@ -427,10 +338,7 @@ DseResult run_nsga2(const DesignSpace& space,
 
 DseResult run_mosa(const DesignSpace& space, const ObjectiveFunction& fn,
                    const MosaOptions& options) {
-  MosaOptions serial_default = options;
-  serial_default.threads = scalar_threads(options.threads);
-  const auto batch = make_batch_adapter(space, fn, serial_default.threads);
-  return run_mosa_batch(space, *batch, serial_default);
+  return run_mosa_batch(space, *make_batch_adapter(space, fn), options);
 }
 
 DseResult run_mosa(const DesignSpace& space, const BatchObjectiveFunction& fn,

@@ -4,6 +4,11 @@
 // simulated annealing "without experiencing any relevant difference in
 // terms of quality of the solutions" (Section 5.2); a random sampler is
 // included as the ablation baseline.
+//
+// Every run evaluates on the calling thread. One design point costs about
+// a microsecond, so fanning evaluations out inside a run has nothing to
+// amortize; parallelism lives a level up, across scenarios (campaign
+// --jobs), validation replicates and serve slots.
 #pragma once
 
 #include <cstdint>
@@ -12,10 +17,6 @@
 
 #include "dse/objectives.hpp"
 #include "dse/pareto.hpp"
-
-namespace wsnex::util {
-class ThreadPool;  // util/thread_pool.hpp — only referenced by pointer here
-}
 
 namespace wsnex::dse {
 
@@ -34,12 +35,12 @@ struct DseResult {
 };
 
 /// Read-only view of a run's state handed to a ProgressSink once per
-/// generation (NSGA-II) or speculative batch round (MOSA). Everything in
-/// here is a copy except `archive`, which points at the live archive and is
-/// valid only for the duration of the callback.
+/// generation (NSGA-II) or iteration (MOSA). Everything in here is a copy
+/// except `archive`, which points at the live archive and is valid only
+/// for the duration of the callback.
 struct ProgressSnapshot {
-  /// Generation (NSGA-II: 0 is the evaluated initial population) or MOSA
-  /// batch-round index.
+  /// NSGA-II: generation, 0 being the evaluated initial population.
+  /// MOSA: iterations completed, 0 being the feasible starting point.
   std::size_t generation = 0;
   std::size_t evaluations = 0;  ///< objective calls issued so far
   std::size_t infeasible = 0;   ///< infeasible designs rejected so far
@@ -58,9 +59,7 @@ struct ProgressSnapshot {
 /// Per-generation observer. Strictly read-only: the optimizers invoke it
 /// outside all PRNG draws and archive mutations, so attaching a sink (or
 /// not) never changes results — archives stay byte-identical either way.
-/// The sink runs on the optimizer's thread; keep it cheap, and note that
-/// with an external pool several concurrent runs may each invoke their own
-/// sink from different threads.
+/// The sink runs on the optimizer's calling thread; keep it cheap.
 using ProgressSink = std::function<void(const ProgressSnapshot&)>;
 
 /// Tuning knobs for run_nsga2(). All defaults reproduce the paper's setup
@@ -82,23 +81,7 @@ struct Nsga2Options {
   double mutation_rate = 0.08;  ///< per gene
   /// PRNG seed; identical seeds give bit-identical runs.
   std::uint64_t seed = 1;
-  /// Worker threads for objective evaluation: 0 picks the hardware
-  /// concurrency on the batch entry point (the scalar ObjectiveFunction
-  /// entry point treats 0 as 1, because it cannot assume an arbitrary
-  /// std::function is thread-safe); 1 evaluates inline with no pool at
-  /// all. Each generation is drawn up-front and evaluated as one batch
-  /// with index-ordered results, so the outcome (archive contents,
-  /// evaluation counts, population trajectory) is independent of this
-  /// value — threads only change wall-clock time. With threads > 1 the
-  /// objective is called concurrently and must be thread-safe (the
-  /// model-backed objectives are; beware of stateful lambdas).
-  std::size_t threads = 0;
-  /// Optional externally owned pool for batch evaluation (campaign mode:
-  /// many optimizer runs share one pool, and the runs themselves execute
-  /// as tasks on it — the pool is reentrant). When set, `threads` is
-  /// ignored and the objective's worker_slots() must cover pool->size().
-  /// Results are unchanged either way; the pool must outlive the run.
-  util::ThreadPool* pool = nullptr;
+  std::size_t threads = 0;  ///< ignored; kept for source compatibility
   /// Optional convergence observer, called after the initial population is
   /// ranked (generation 0) and after every subsequent generation. See
   /// ProgressSink for the no-perturbation contract.
@@ -113,7 +96,7 @@ DseResult run_nsga2(const DesignSpace& space, const ObjectiveFunction& fn,
 
 /// Batch-API variant — the fast path. Combine with
 /// make_memoized_full_model_objective for the memoized, allocation-free
-/// evaluator. The pool width is clamped to fn.worker_slots().
+/// evaluator. Each generation is drawn up front and evaluated as one batch.
 DseResult run_nsga2(const DesignSpace& space,
                     const BatchObjectiveFunction& fn,
                     const Nsga2Options& options);
@@ -134,26 +117,10 @@ struct MosaOptions {
   double mutation_rate = 0.15;
   /// PRNG seed; identical seeds give bit-identical runs.
   std::uint64_t seed = 1;
-  /// Worker threads for objective evaluation (0 = hardware concurrency
-  /// on the batch entry point, treated as 1 by the scalar entry point —
-  /// see Nsga2Options::threads; 1 = inline). The annealing chain is
-  /// inherently sequential, so
-  /// threads > 1 evaluates speculative lookahead batches: `threads`
-  /// neighbour proposals are drawn (with their acceptance randomness
-  /// pre-committed) under the assumption that the chain rejects each one,
-  /// evaluated in parallel, then replayed through the exact sequential
-  /// accept rule; on the first acceptance or infeasible proposal the
-  /// remaining speculation is discarded and the PRNG rewound. Discarded
-  /// evaluations never touch the archive or the counters, so results are
-  /// bit-identical for every thread count; speedup tracks the rejection
-  /// rate (high once the temperature has cooled). Thread-safety caveat as
-  /// in Nsga2Options.
-  std::size_t threads = 0;
-  /// Optional externally owned evaluation pool — see Nsga2Options::pool.
-  util::ThreadPool* pool = nullptr;
-  /// Optional convergence observer, called once per speculative batch round
-  /// (so roughly every `threads` proposals; every proposal when serial).
-  /// See ProgressSink for the no-perturbation contract.
+  std::size_t threads = 0;  ///< ignored; kept for source compatibility
+  /// Optional convergence observer, called once for the feasible starting
+  /// point and once after every iteration. See ProgressSink for the
+  /// no-perturbation contract.
   ProgressSink progress;
 };
 

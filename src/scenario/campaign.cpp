@@ -119,6 +119,7 @@ void write_archive_csv(const std::string& path,
                    util::format_double_shortest(lifetime_days[i]),
                    genome_field(e.genome), space.describe(e.genome)});
   }
+  csv.close();
 }
 
 util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
@@ -283,8 +284,7 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
       make_convergence_sink(spec, options, store);
   ScenarioRun run = [&] {
     util::trace::Span span("evaluate");
-    return run_scenario(spec, options.quick, options.threads, pool, cache,
-                        convergence);
+    return run_scenario(spec, options.quick, {}, nullptr, cache, convergence);
   }();
   perf.evaluate_s = now_s() - phase_start;
 
@@ -356,125 +356,13 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
 
 namespace {
 
-/// The historical serial driver: scenarios strictly in spec order, one at
-/// a time. jobs == 1 campaigns run through here unchanged.
-CampaignReport drive_campaign_serial(
-    const std::vector<ScenarioSpec>& specs, const CampaignOptions& options,
-    ResultStore& store, dse::SharedEvalCache& cache,
-    const std::function<void(const CampaignOutcome&)>& progress) {
-  const CampaignManifest manifest = store.load_manifest();
-  CampaignReport report;
-  std::size_t executed = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (options.abort_after != 0 && executed >= options.abort_after &&
-        !manifest.scenarios[i].complete) {
-      // Simulated kill: stop before the next pending scenario.
-      report.complete = false;
-      return report;
-    }
-    CampaignOutcome outcome;
-    outcome.name = specs[i].name;
-    if (manifest.scenarios[i].complete) {
-      outcome.skipped = true;
-      outcome.status = manifest.scenarios[i];
-      ++report.skipped;
-      static auto& skipped = scenario_counter("outcome=\"skipped\"");
-      skipped.inc();
-    } else {
-      outcome.status =
-          execute_scenario(specs[i], options, store, nullptr, &cache);
-      store.record_complete(outcome.status);
-      ++executed;
-      ++report.executed;
-    }
-    if (progress) progress(outcome);
-    report.outcomes.push_back(std::move(outcome));
-  }
-  report.complete = true;
-  return report;
-}
-
-/// The parallel driver: pending scenarios run as coarse tasks on one
-/// shared pool whose evaluation subtasks interleave on the same workers.
-/// Result files are byte-identical to the serial driver (per-scenario
-/// runs are independent and individually deterministic); manifest updates
-/// and progress callbacks are serialized under a mutex, so only the
-/// *order* of progress reporting differs.
-CampaignReport drive_campaign_parallel(
-    const std::vector<ScenarioSpec>& specs, const CampaignOptions& options,
-    ResultStore& store, dse::SharedEvalCache& cache,
-    const std::function<void(const CampaignOutcome&)>& progress) {
-  const CampaignManifest manifest = store.load_manifest();
-  std::vector<std::size_t> to_run;
-  std::size_t pending_total = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (manifest.scenarios[i].complete) continue;
-    ++pending_total;
-    if (options.abort_after == 0 || to_run.size() < options.abort_after) {
-      to_run.push_back(i);
-    }
-  }
-  // Mirror the serial driver's abort semantics: outcomes cover the spec
-  // prefix before the first pending scenario this invocation skips.
-  const bool aborted = to_run.size() < pending_total;
-  std::size_t cutoff = specs.size();
-  if (aborted) {
-    std::size_t seen_pending = 0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (manifest.scenarios[i].complete) continue;
-      if (seen_pending == to_run.size()) {
-        cutoff = i;
-        break;
-      }
-      ++seen_pending;
-    }
-  }
-
-  CampaignReport report;
-  std::vector<CampaignOutcome> outcomes(cutoff);
-  for (std::size_t i = 0; i < cutoff; ++i) {
-    outcomes[i].name = specs[i].name;
-    if (manifest.scenarios[i].complete) {
-      outcomes[i].skipped = true;
-      outcomes[i].status = manifest.scenarios[i];
-      ++report.skipped;
-      static auto& skipped = scenario_counter("outcome=\"skipped\"");
-      skipped.inc();
-      if (progress) progress(outcomes[i]);
-    }
-  }
-
-  const util::ThreadPool::Layout layout = util::ThreadPool::resolve_layout(
-      options.jobs, options.threads.value_or(0));
-  util::ThreadPool pool(layout.pool_width);
-  std::mutex store_mutex;
-  std::atomic<bool> failed{false};
-  pool.run_tasks(to_run.size(), [&](std::size_t task) {
-    // Mirror the serial driver's failure behavior: once any scenario has
-    // thrown, stop *starting* scenarios (in-flight ones finish; their
-    // results persist and a resume skips them). run_tasks drains the
-    // queue and rethrows the lowest failing task's exception.
-    if (failed.load(std::memory_order_relaxed)) return;
-    const std::size_t i = to_run[task];
-    try {
-      const ScenarioStatus status =
-          execute_scenario(specs[i], options, store, &pool, &cache);
-      const std::lock_guard<std::mutex> lock(store_mutex);
-      store.record_complete(status);
-      outcomes[i].status = status;
-      ++report.executed;
-      if (progress) progress(outcomes[i]);
-    } catch (...) {
-      failed.store(true, std::memory_order_relaxed);
-      throw;
-    }
-  });
-
-  report.outcomes = std::move(outcomes);
-  report.complete = !aborted;
-  return report;
-}
-
+/// The campaign driver: one run_tasks task per spec index up to the
+/// abort cutoff, on a pool of width max(jobs, 1). A width-1 pool runs the
+/// tasks inline in spec order, so jobs = 1 is the serial campaign. With
+/// jobs > 1 result files stay byte-identical (per-scenario runs are
+/// independent and individually deterministic); manifest updates and
+/// callbacks are serialized under a mutex, so only the *order* of
+/// callbacks differs.
 CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                               const CampaignOptions& options,
                               ResultStore& store,
@@ -486,10 +374,59 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                      "calibration was already computed";
   }
   dse::SharedEvalCache& cache = dse::SharedEvalCache::instance();
-  if (options.jobs > 1) {
-    return drive_campaign_parallel(specs, options, store, cache, progress);
+  const CampaignManifest manifest = store.load_manifest();
+  // Simulated kill: stop before the first pending scenario past the first
+  // abort_after pending ones; outcomes cover the spec prefix before it.
+  std::size_t cutoff = specs.size();
+  std::size_t pending = 0;
+  for (std::size_t i = 0; i < specs.size() && options.abort_after != 0; ++i) {
+    if (manifest.scenarios[i].complete) continue;
+    if (pending++ == options.abort_after) {
+      cutoff = i;
+      break;
+    }
   }
-  return drive_campaign_serial(specs, options, store, cache, progress);
+
+  CampaignReport report;
+  std::vector<CampaignOutcome> outcomes(cutoff);
+  util::ThreadPool pool(
+      util::ThreadPool::resolve_layout(options.jobs, 0).pool_width);
+  std::mutex mutex;
+  std::atomic<bool> failed{false};
+  pool.run_tasks(cutoff, [&](std::size_t i) {
+    // Once any scenario has thrown, start no more (in-flight ones finish;
+    // their results persist and a resume skips them). run_tasks drains
+    // the queue and rethrows the lowest failing task's exception.
+    if (failed.load(std::memory_order_relaxed)) return;
+    CampaignOutcome& outcome = outcomes[i];
+    outcome.name = specs[i].name;
+    try {
+      if (manifest.scenarios[i].complete) {
+        outcome.skipped = true;
+        outcome.status = manifest.scenarios[i];
+        static auto& skipped = scenario_counter("outcome=\"skipped\"");
+        skipped.inc();
+        const std::lock_guard<std::mutex> lock(mutex);
+        ++report.skipped;
+        if (progress) progress(outcome);
+        return;
+      }
+      const ScenarioStatus status =
+          execute_scenario(specs[i], options, store, &pool, &cache);
+      const std::lock_guard<std::mutex> lock(mutex);
+      store.record_complete(status);
+      outcome.status = status;
+      ++report.executed;
+      if (progress) progress(outcome);
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      throw;
+    }
+  });
+
+  report.outcomes = std::move(outcomes);
+  report.complete = cutoff == specs.size();
+  return report;
 }
 
 void check_unique_names(const std::vector<ScenarioSpec>& specs) {
@@ -533,26 +470,19 @@ std::vector<std::size_t> feasible_entries(
 }
 
 ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
-                         std::optional<std::size_t> threads_override,
-                         util::ThreadPool* pool, dse::SharedEvalCache* cache,
+                         std::optional<std::size_t> /*threads_override*/,
+                         util::ThreadPool* /*pool*/,
+                         dse::SharedEvalCache* cache,
                          const dse::ProgressSink& progress) {
   spec.validate();
   const ScenarioSpec effective = quick ? quick_variant(spec) : spec;
-  const std::size_t threads =
-      threads_override.value_or(effective.optimizer.threads);
-  // On a shared campaign pool any worker may run an evaluation chunk, so
-  // the objective needs one scratch slot per pool worker.
-  const std::size_t workers = pool != nullptr
-                                  ? pool->size()
-                                  : util::ThreadPool::resolve_threads(threads);
-
   const auto evaluator =
       model::NetworkModelEvaluator::make_default(effective.evaluator_options());
   dse::DesignSpace space(effective.design_space_config());
   // The memoized objective precomputes the whole app-layer/MAC memo, so
   // it is built only inside the branches that actually batch-evaluate.
   const auto make_memo = [&] {
-    return dse::make_memoized_full_model_objective(evaluator, space, workers,
+    return dse::make_memoized_full_model_objective(evaluator, space, 1,
                                                    cache);
   };
 
@@ -566,8 +496,6 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
       o.crossover_rate = opt.crossover_rate;
       if (opt.mutation_rate > 0.0) o.mutation_rate = opt.mutation_rate;
       o.seed = opt.seed;
-      o.threads = workers;
-      o.pool = pool;
       o.progress = progress;
       result = dse::run_nsga2(space, *make_memo(), o);
       break;
@@ -579,8 +507,6 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
       o.cooling = opt.cooling;
       if (opt.mutation_rate > 0.0) o.mutation_rate = opt.mutation_rate;
       o.seed = opt.seed;
-      o.threads = workers;
-      o.pool = pool;
       o.progress = progress;
       result = dse::run_mosa(space, *make_memo(), o);
       break;
@@ -644,7 +570,6 @@ CampaignReport resume_campaign(
   CampaignOptions options;
   options.out_dir = out_dir;
   options.quick = manifest.quick;
-  options.threads = overrides.threads;
   options.abort_after = overrides.abort_after;
   options.jobs = overrides.jobs;
   options.cache_dir = overrides.cache_dir;

@@ -4,21 +4,18 @@
 // cross-scenario evaluation cache.
 //
 // Reproducibility: each scenario runs the memoized batch objective with
-// the spec's seed; the engine guarantees archives bit-identical across
-// thread counts AND across campaign job counts (per-scenario runs are
-// independent, evaluation results are placed by index, and shared-cache
-// artifacts are immutable key-matched inputs), and the archive rows are
-// written in a canonical sort order. So a resumed campaign's result files
-// are byte-identical to an uninterrupted run, and a `jobs=N` campaign's
-// to a serial one (the CI smoke test and tests/scenario/test_campaign.cpp
-// both assert this). Only the summary/manifest wallclock fields differ
+// the spec's seed; archives are bit-identical across campaign job counts
+// (per-scenario runs are independent and shared-cache artifacts are
+// immutable key-matched inputs), and the archive rows are written in a
+// canonical sort order. So a resumed campaign's result files are
+// byte-identical to an uninterrupted run, and a `jobs=N` campaign's to a
+// serial one (tests/integration/test_golden_archives.cpp pins every
+// preset's files). Only the summary/manifest wallclock fields differ
 // between runs.
 //
-// Scheduling: with jobs > 1 one shared util::ThreadPool serves both
-// levels — scenarios run as coarse tasks on the pool, and each scenario's
-// evaluation batches fan out as subtasks on the same pool (it is
-// reentrant), so campaign x evaluation parallelism never oversubscribes
-// the machine (ThreadPool::resolve_layout clamps the product).
+// Parallelism: scenarios run as tasks on one pool of width `jobs`; a
+// scenario's optimizer run is sequential, and its `--validate` replicates
+// fan out on the same pool. jobs = 1 is the serial campaign.
 #pragma once
 
 #include <functional>
@@ -51,16 +48,14 @@ struct ScenarioRun {
   double frame_error_rate = 0.0;  ///< effective FER the evaluator used
 };
 
-/// Runs one scenario through the memoized batch engine. `threads_override`
-/// replaces the spec's thread setting (results are identical either way;
-/// only wall-clock changes). `quick` shrinks the optimizer budget to a
-/// smoke-test size (deterministically — quick runs are reproducible too).
-/// `pool` (campaign mode) runs the evaluation batches on an external
-/// shared pool instead of a run-private one; `cache` shares the app-layer
-/// table and MAC models across scenarios. Neither changes results.
-/// `progress`, when set, is attached to the optimizer as its per-generation
-/// convergence observer (dse::ProgressSink). Strictly read-only: results
-/// are byte-identical with or without it.
+/// Runs one scenario through the memoized batch engine on the calling
+/// thread. `quick` shrinks the optimizer budget to a smoke-test size
+/// (deterministically — quick runs are reproducible too). `cache` shares
+/// the app-layer table and MAC models across scenarios without changing
+/// results. `progress`, when set, is attached to the optimizer as its
+/// per-generation convergence observer (dse::ProgressSink). Strictly
+/// read-only: results are byte-identical with or without it.
+/// `threads_override` and `pool` are ignored; kept for source compatibility.
 ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick = false,
                          std::optional<std::size_t> threads_override = {},
                          util::ThreadPool* pool = nullptr,
@@ -99,8 +94,9 @@ util::metrics::Histogram& scenario_seconds_histogram();
 /// pending, so resume re-runs scenario + hook and reproduces both. The
 /// validate subsystem installs its Monte Carlo validator here
 /// (`wsnex run --validate`); the scenario layer itself stays independent
-/// of the modules above it. `pool` is the shared campaign pool (null in
-/// serial campaigns); hooks may fan subtasks out on it.
+/// of the modules above it. `pool` is the campaign's pool of width `jobs`
+/// (null when execute_scenario was given none); hooks may fan subtasks
+/// out on it.
 using PostScenarioHook = std::function<void(
     const ScenarioSpec& spec, const ScenarioRun& run, ResultStore& store,
     util::ThreadPool* pool)>;
@@ -110,18 +106,15 @@ struct CampaignOptions {
   std::string out_dir;  ///< result-store root (created if absent)
   bool quick = false;   ///< shrink every scenario's budget (recorded in the
                         ///< manifest; resume inherits it)
-  /// Replaces every spec's optimizer.threads when set (0 = hardware
-  /// concurrency). Never changes results.
+  /// Ignored; kept for source compatibility.
   std::optional<std::size_t> threads;
   /// Testing hook: stop (as if killed) after this many scenarios have been
   /// *executed* in this invocation; the manifest keeps the rest pending so
   /// a resume can pick them up. 0 = no limit.
   std::size_t abort_after = 0;
-  /// Concurrent scenarios (`wsnex run --jobs N`). Scenario tasks and
-  /// their evaluation batches share one pool sized by
-  /// util::ThreadPool::resolve_layout(jobs, threads), so the two levels
-  /// never oversubscribe the machine. Never changes result files — only
-  /// wall-clock and the order progress is reported in.
+  /// Concurrent scenarios (`wsnex run --jobs N`) on one pool of that
+  /// width, which also runs their validation replicates. Never changes
+  /// result files — only wall-clock and the order progress is reported in.
   std::size_t jobs = 1;
   /// On-disk warm-cache directory (`wsnex run --cache-dir DIR`): the
   /// first campaign writes the PRD codec calibration (the dominant
@@ -152,8 +145,9 @@ struct CampaignOptions {
 /// `store` — everything except the manifest update, which the caller
 /// serializes via ResultStore::record_complete once the returned status is
 /// safe to publish. This is the shared unit of work of the campaign
-/// drivers and the `wsnex serve` job scheduler: both interleave many of
-/// these on one pool, each followed by its own record_complete.
+/// driver and the `wsnex serve` job scheduler: both interleave many of
+/// these, each followed by its own record_complete. `pool` is handed to
+/// the post_scenario hook only.
 ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
                                 ResultStore& store, util::ThreadPool* pool,
@@ -190,7 +184,6 @@ CampaignReport run_campaign(
 /// and the quick flag — always comes from the stored manifest; these
 /// knobs never change results).
 struct ResumeOverrides {
-  std::optional<std::size_t> threads;
   std::size_t abort_after = 0;
   std::size_t jobs = 1;
   std::string cache_dir;

@@ -148,10 +148,7 @@ util::Json JobProgress::to_json() const {
 
 JobScheduler::JobScheduler(SchedulerOptions options)
     : options_(std::move(options)),
-      pool_(util::ThreadPool::resolve_layout(
-                util::ThreadPool::resolve_threads(options_.slots),
-                options_.threads)
-                .pool_width),
+      pool_(options_.slots),
       cache_(dse::SharedEvalCache::instance()) {
   if (options_.data_dir.empty()) {
     throw ServeError("scheduler: data_dir must be set");
@@ -765,7 +762,6 @@ JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
     if (job.spec.kind == JobKind::kCampaign) {
       scenario::CampaignOptions copts;
       copts.quick = job.spec.quick;
-      copts.threads = options_.threads;
       copts.events = job.events.get();
       copts.event_job_id = job.spec.id;
       const scenario::ScenarioStatus status =

@@ -7,12 +7,12 @@
 // of `slots` scheduler workers claims units one at a time through a
 // WeightedRoundRobin allocator: while several jobs have pending units, a
 // priority-w job is granted w units for every one a priority-1 job gets,
-// so a big batch cannot starve a small interactive one. Every unit's
-// evaluation batches fan out on the single shared ThreadPool (sized by
-// util::ThreadPool::resolve_layout(slots, threads), the same
-// no-oversubscription contract the campaign --jobs scheduler uses), and
-// all jobs share the process-wide dse::SharedEvalCache plus the on-disk
-// PRD calibration cache — every job after the first runs warm.
+// so a big batch cannot starve a small interactive one. Slots are the
+// daemon's one level of parallelism: a unit's optimizer run stays on its
+// slot's thread, and validation replicates fan out on one shared
+// ThreadPool of width `slots`. All jobs share the process-wide
+// dse::SharedEvalCache plus the on-disk PRD calibration cache — every job
+// after the first runs warm.
 //
 // Fault model:
 //  * admission control — max_queued_jobs non-terminal jobs; excess
@@ -94,11 +94,9 @@ class WeightedRoundRobin {
 struct SchedulerOptions {
   /// Daemon state root; jobs live under <data_dir>/jobs/<shard>/.
   std::string data_dir;
-  /// Concurrent units (scheduler workers). 0 = hardware concurrency.
+  /// Concurrent units (scheduler workers), also the width of the shared
+  /// replicate pool. 0 = hardware concurrency.
   std::size_t slots = 0;
-  /// Evaluation threads per unit (0 = hardware concurrency); the shared
-  /// pool is sized by resolve_layout(slots, threads).
-  std::size_t threads = 0;
   /// Admission ceiling: maximum non-terminal (queued + running) jobs.
   std::size_t max_queued_jobs = 64;
   /// Priority clamp; submissions above it are lowered, not rejected.

@@ -1,21 +1,41 @@
 #include "util/csv.hpp"
 
+#include <cerrno>
+#include <cstring>
 #include <sstream>
-#include <stdexcept>
+
+#include "util/fsio.hpp"
 
 namespace wsnex::util {
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+CsvWriter::CsvWriter(const std::string& path) : path_(path) {
+  errno = 0;
+  out_.open(path);
+  check("open");
+}
+
+void CsvWriter::check(const char* what) {
+  if (out_) return;
+  const int err = errno != 0 ? errno : EIO;
+  throw FileError(std::string("CsvWriter: ") + what + " " + path_ +
+                  " failed: " + std::strerror(err));
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
+  errno = 0;
   for (std::size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) out_ << ',';
     out_ << escape(fields[i]);
   }
   out_ << '\n';
+  check("write to");
   ++rows_;
+}
+
+void CsvWriter::close() {
+  errno = 0;
+  out_.close();
+  check("close of");
 }
 
 void CsvWriter::write_row(std::initializer_list<std::string> fields) {

@@ -1,13 +1,13 @@
 #include "util/events.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 namespace wsnex::util::events {
 
 namespace {
-
-constexpr std::size_t kWords = (sizeof(Event) + 7) / 8;
 
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -79,10 +79,18 @@ std::string events_to_jsonl(const std::vector<Event>& batch) {
   return out;
 }
 
+void EventRing::FreeWords::operator()(std::uint64_t* words) const {
+  std::free(words);
+}
+
 EventRing::EventRing(std::size_t capacity)
-    : slots_(round_up_pow2(std::max<std::size_t>(capacity, 2))),
-      mask_(slots_.size() - 1),
-      epoch_(std::chrono::steady_clock::now()) {}
+    : capacity_(round_up_pow2(std::max<std::size_t>(capacity, 2))),
+      mask_(capacity_ - 1),
+      words_(static_cast<std::uint64_t*>(
+          std::calloc(capacity_ * kSlotWords, sizeof(std::uint64_t)))),
+      epoch_(std::chrono::steady_clock::now()) {
+  if (!words_) throw std::bad_alloc();
+}
 
 std::uint64_t EventRing::publish(Event event) {
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -91,19 +99,19 @@ std::uint64_t EventRing::publish(Event event) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_)
           .count();
 
-  std::uint64_t raw[kWords] = {};
+  std::uint64_t raw[kPayloadWords] = {};
   std::memcpy(raw, &event, sizeof(Event));
 
-  Slot& slot = slots_[(seq - 1) & mask_];
+  const std::size_t slot = (seq - 1) & mask_;
   // Seqlock write: odd stamp, release fence, payload words, even stamp.
   // The release fence guarantees that a reader who observes any payload word
   // from this publish also observes the odd stamp on its recheck.
-  slot.stamp.store(2 * seq - 1, std::memory_order_relaxed);
+  word(slot, 0).store(2 * seq - 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  for (std::size_t i = 0; i < kWords; ++i) {
-    slot.words[i].store(raw[i], std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kPayloadWords; ++i) {
+    word(slot, 1 + i).store(raw[i], std::memory_order_relaxed);
   }
-  slot.stamp.store(2 * seq, std::memory_order_release);
+  word(slot, 0).store(2 * seq, std::memory_order_release);
 
   if (waiters_.load(std::memory_order_relaxed) > 0) {
     std::lock_guard<std::mutex> guard(wait_mutex_);
@@ -120,8 +128,7 @@ std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out
 
   // Oldest sequence that can still be resident. Anything older was
   // overwritten by ring wrap and counts as dropped for this reader.
-  const std::uint64_t oldest =
-      last > slots_.size() ? last - slots_.size() + 1 : 1;
+  const std::uint64_t oldest = last > capacity_ ? last - capacity_ + 1 : 1;
   std::uint64_t first = since + 1;
   if (first < oldest) {
     if (dropped != nullptr) *dropped += oldest - first;
@@ -129,19 +136,19 @@ std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out
   }
 
   for (std::uint64_t seq = first; seq <= last; ++seq) {
-    const Slot& slot = slots_[(seq - 1) & mask_];
-    const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
+    const std::size_t slot = (seq - 1) & mask_;
+    const std::uint64_t s1 = word(slot, 0).load(std::memory_order_acquire);
     if (s1 != 2 * seq) {
       // Slot no longer (or not yet) holds this sequence: lapped by a writer.
       if (dropped != nullptr) ++*dropped;
       continue;
     }
-    std::uint64_t raw[kWords];
-    for (std::size_t i = 0; i < kWords; ++i) {
-      raw[i] = slot.words[i].load(std::memory_order_relaxed);
+    std::uint64_t raw[kPayloadWords];
+    for (std::size_t i = 0; i < kPayloadWords; ++i) {
+      raw[i] = word(slot, 1 + i).load(std::memory_order_relaxed);
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t s2 = slot.stamp.load(std::memory_order_relaxed);
+    const std::uint64_t s2 = word(slot, 0).load(std::memory_order_relaxed);
     if (s2 != 2 * seq) {
       if (dropped != nullptr) ++*dropped;
       continue;
@@ -159,7 +166,7 @@ std::uint64_t EventRing::last_seq() const {
 
 std::uint64_t EventRing::overwritten() const {
   const std::uint64_t last = next_.load(std::memory_order_acquire);
-  return last > slots_.size() ? last - slots_.size() : 0;
+  return last > capacity_ ? last - capacity_ : 0;
 }
 
 bool EventRing::wait_for(std::uint64_t since, double timeout_s) const {

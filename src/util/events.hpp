@@ -21,6 +21,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -111,16 +112,29 @@ class EventRing {
   /// elapses. Returns true if new events are available.
   bool wait_for(std::uint64_t since, double timeout_s) const;
 
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> stamp{0};  ///< 2*seq while valid, 2*seq-1 mid-write.
-    std::atomic<std::uint64_t> words[(sizeof(Event) + 7) / 8];
+  static constexpr std::size_t kPayloadWords = (sizeof(Event) + 7) / 8;
+  /// Words per slot: a stamp (2*seq while valid, 2*seq-1 mid-write), then
+  /// the event payload.
+  static constexpr std::size_t kSlotWords = 1 + kPayloadWords;
+  struct FreeWords {
+    void operator()(std::uint64_t* words) const;
   };
 
-  std::vector<Slot> slots_;
+  /// Word `i` of `slot`, accessed atomically.
+  std::atomic_ref<std::uint64_t> word(std::size_t slot, std::size_t i) const {
+    return std::atomic_ref<std::uint64_t>(words_[slot * kSlotWords + i]);
+  }
+
+  std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
+  /// calloc'd slot storage. Every access goes through word(), so slots
+  /// never published stay untouched zero pages: a ring's resident memory
+  /// follows the events published into it, not its capacity (the serve
+  /// daemon keeps one ring per job for its lifetime).
+  std::unique_ptr<std::uint64_t[], FreeWords> words_;
   std::atomic<std::uint64_t> next_{0};
   std::chrono::steady_clock::time_point epoch_;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "util/logging.hpp"
 #include "util/metrics.hpp"
 
 namespace wsnex::util {
@@ -58,26 +57,10 @@ std::size_t ThreadPool::resolve_threads(std::size_t threads) {
 }
 
 ThreadPool::Layout ThreadPool::resolve_layout(std::size_t jobs,
-                                              std::size_t threads) {
+                                              std::size_t /*threads*/) {
   Layout layout;
   layout.jobs = std::max<std::size_t>(1, jobs);
-  const std::size_t hw = resolve_threads(0);
-  const std::size_t per_job = resolve_threads(threads);
-  const std::size_t product = layout.jobs * per_job;
-  layout.pool_width = std::min(product, std::max(layout.jobs, hw));
-  // Warn only when the user *explicitly* asked for a per-job thread count
-  // whose product had to be clamped; threads == 0 means "share the
-  // hardware", which is exactly what the clamp produces — no surprise to
-  // report.
-  if (threads != 0 && layout.pool_width != product) {
-    static std::once_flag logged;
-    std::call_once(logged, [&] {
-      WSNEX_WARN() << "campaign layout: " << layout.jobs << " job(s) x "
-                   << per_job << " eval thread(s) would oversubscribe " << hw
-                   << " hardware thread(s); clamping to a shared pool of "
-                   << layout.pool_width << " worker(s)";
-    });
-  }
+  layout.pool_width = layout.jobs;
   return layout;
 }
 
@@ -191,9 +174,9 @@ void ThreadPool::parallel_for(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   if (worker_count_ == 1) {
-    // Instrumented as one group with one item: the per-index body is the
-    // DSE hot loop, and per-index bookkeeping here is exactly the kind of
-    // perturbation the metrics layer promises not to introduce.
+    // Instrumented as one group with one item: per-index bookkeeping
+    // here is exactly the kind of perturbation the metrics layer promises
+    // not to introduce.
     const double start = now_s();
     for (std::size_t i = begin; i < end; ++i) fn(i, 0);
     PoolMetrics& pm = pool_metrics();

@@ -1,27 +1,29 @@
-// Fixed-size cooperative thread pool for deterministic batch fan-out.
+// Fixed-size cooperative thread pool for deterministic fan-out.
+//
+// Parallelism in wsnex lives at one level: across independent work —
+// campaign scenarios (`--jobs`), validation replicates and serve slots.
+// Nothing inside one optimizer run is parallel; a design point costs
+// about a microsecond, so there is nothing to amortize there.
 //
 // Two fan-out primitives share one worker set and one FIFO work queue:
 //
-//  * parallel_for() — the DSE batch primitive. The index range is split
-//    into size() contiguous chunks and fn receives the *chunk index* as
-//    its worker id, so the mapping from index to worker id is a pure
-//    function of (range, pool size) regardless of which thread executes
-//    the chunk. Callers that write results by index therefore produce
-//    identical output for any worker count — the property the batch
-//    evaluator relies on for its threads=1 vs threads=N bit-identity
-//    guarantee.
-//  * run_tasks() — coarse task fan-out for the campaign scheduler: tasks
-//    are claimed FIFO by idle workers, so long and short tasks balance
-//    dynamically.
+//  * parallel_for() — index-range fan-out (validation replicates). The
+//    range is split into size() contiguous chunks and fn receives the
+//    *chunk index* as its worker id, so the mapping from index to worker
+//    id is a pure function of (range, pool size) regardless of which
+//    thread executes the chunk. Callers that write results by index
+//    therefore produce identical output for any worker count.
+//  * run_tasks() — coarse task fan-out (campaign scenarios): tasks are
+//    claimed FIFO by idle workers, so long and short tasks balance
+//    dynamically. On a pool of size 1 the tasks run inline in order.
 //
 // Both primitives are *reentrant*: a task or chunk running on the pool
 // may itself call parallel_for()/run_tasks() on the same pool. The inner
 // call enqueues its items on the shared queue and the calling thread
 // helps execute them (its own group's items only, so recursion depth is
 // bounded by the actual nesting), while idle workers pick up whatever is
-// queued. This is what lets campaign-level scenario tasks spawn
-// evaluation subtasks on the same pool — two scheduling levels, one set
-// of threads, no oversubscription.
+// queued. This is what lets a campaign scenario task fan its validation
+// replicates out on the campaign's own pool without oversubscribing.
 #pragma once
 
 #include <condition_variable>
@@ -75,19 +77,15 @@ class ThreadPool {
   /// never 0), anything else unchanged.
   static std::size_t resolve_threads(std::size_t threads);
 
-  /// Two-level parallelism layout: `jobs` concurrent coarse tasks
-  /// (campaign scenarios), each wanting `threads` evaluation workers
-  /// (0 = hardware concurrency).
+  /// Campaign pool layout: `jobs` concurrent scenarios on a pool of the
+  /// same width.
   struct Layout {
     std::size_t jobs = 1;        ///< concurrent coarse tasks to schedule
-    std::size_t pool_width = 1;  ///< shared-pool size serving both levels
+    std::size_t pool_width = 1;  ///< size of the pool that runs them
   };
 
-  /// Oversubscription guard: clamps jobs x threads to the hardware
-  /// concurrency (but never below `jobs` — an explicit jobs request keeps
-  /// its scenario-level concurrency) and logs the effective layout once
-  /// per process when it differs from the request, instead of silently
-  /// oversubscribing. jobs == 0 is treated as 1.
+  /// {max(jobs, 1), max(jobs, 1)}. `threads` is ignored; kept for source
+  /// compatibility.
   static Layout resolve_layout(std::size_t jobs, std::size_t threads);
 
  private:

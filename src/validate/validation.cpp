@@ -486,6 +486,7 @@ void ValidationReport::write_csv(const std::string& path) const {
                    m.has_analytic ? (m.ci_overlap ? "true" : "false") : "",
                    to_string(m.verdict)});
   }
+  csv.close();
 }
 
 void persist_validation(const scenario::ResultStore& store,
@@ -503,8 +504,8 @@ scenario::PostScenarioHook make_campaign_validation_hook(
     ValidationOptions vopts;
     vopts.plan.replicates = options.replicates;
     // Honor the campaign's concurrency budget: replicates interleave on
-    // the shared pool when one exists; a serial campaign stays serial
-    // instead of silently fanning out to every core.
+    // the campaign's pool of width --jobs, so a serial campaign stays
+    // serial instead of silently fanning out to every core.
     vopts.plan.jobs = 1;
     vopts.plan.duration_s = options.duration_s;
     vopts.plan.base_seed = spec.optimizer.seed;

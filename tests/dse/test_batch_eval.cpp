@@ -1,7 +1,6 @@
 // Determinism and bit-identity guarantees of the batched DSE engine:
 //  * the memoized batch objective returns results bit-identical to the
 //    uncached scalar path across a sweep of the case-study design space,
-//  * NSGA-II and MOSA archives are independent of the thread count,
 //  * the scalar and batch entry points agree,
 //  * the flat non-dominated sort matches a reference implementation.
 #include <gtest/gtest.h>
@@ -118,23 +117,6 @@ TEST(MemoizedObjective, InvalidMacGridCombinationsMatchScalarInfeasibility) {
   }
 }
 
-TEST(Nsga2, ThreadCountDoesNotChangeTheRun) {
-  const DesignSpace space(DesignSpaceConfig::case_study());
-  const auto memo =
-      make_memoized_full_model_objective(shared_evaluator(), space, 8);
-  Nsga2Options opt;
-  opt.population = 32;
-  opt.generations = 8;
-  opt.seed = 97;
-  opt.threads = 1;
-  const DseResult serial = run_nsga2(space, *memo, opt);
-  opt.threads = 8;
-  const DseResult wide = run_nsga2(space, *memo, opt);
-  EXPECT_EQ(serial.evaluations, wide.evaluations);
-  EXPECT_EQ(serial.infeasible_count, wide.infeasible_count);
-  EXPECT_TRUE(same_entries(serial.archive, wide.archive));
-}
-
 TEST(Nsga2, ScalarAndMemoizedBatchProduceTheSameArchive) {
   const DesignSpace space(DesignSpaceConfig::case_study());
   const auto scalar = make_full_model_objective(shared_evaluator());
@@ -144,31 +126,11 @@ TEST(Nsga2, ScalarAndMemoizedBatchProduceTheSameArchive) {
   opt.population = 32;
   opt.generations = 8;
   opt.seed = 1234;
-  opt.threads = 1;
   const DseResult via_scalar = run_nsga2(space, scalar, opt);
   const DseResult via_memo = run_nsga2(space, *memo, opt);
   EXPECT_EQ(via_scalar.evaluations, via_memo.evaluations);
   EXPECT_EQ(via_scalar.infeasible_count, via_memo.infeasible_count);
   EXPECT_TRUE(same_entries(via_scalar.archive, via_memo.archive));
-}
-
-TEST(Mosa, ThreadCountDoesNotChangeTheRun) {
-  const DesignSpace space(DesignSpaceConfig::case_study());
-  const auto memo =
-      make_memoized_full_model_objective(shared_evaluator(), space, 8);
-  MosaOptions opt;
-  opt.iterations = 600;
-  opt.seed = 5;
-  opt.threads = 1;
-  const DseResult serial = run_mosa(space, *memo, opt);
-  opt.threads = 8;
-  const DseResult wide = run_mosa(space, *memo, opt);
-  // Speculative lookahead must replay to the exact sequential chain:
-  // identical counters (discarded speculation is never booked) and
-  // identical archive contents.
-  EXPECT_EQ(serial.evaluations, wide.evaluations);
-  EXPECT_EQ(serial.infeasible_count, wide.infeasible_count);
-  EXPECT_TRUE(same_entries(serial.archive, wide.archive));
 }
 
 TEST(Mosa, ScalarAndMemoizedBatchProduceTheSameArchive) {
@@ -179,7 +141,6 @@ TEST(Mosa, ScalarAndMemoizedBatchProduceTheSameArchive) {
   MosaOptions opt;
   opt.iterations = 600;
   opt.seed = 5;
-  opt.threads = 1;
   const DseResult via_scalar = run_mosa(space, scalar, opt);
   const DseResult via_memo = run_mosa(space, *memo, opt);
   EXPECT_EQ(via_scalar.evaluations, via_memo.evaluations);
@@ -189,7 +150,7 @@ TEST(Mosa, ScalarAndMemoizedBatchProduceTheSameArchive) {
 TEST(BatchAdapter, MatchesScalarResults) {
   const DesignSpace space(tiny_space_config());
   const auto scalar = make_full_model_objective(shared_evaluator());
-  const auto batch = make_batch_adapter(space, scalar, 2);
+  const auto batch = make_batch_adapter(space, scalar);
   util::Rng rng(3);
   for (int i = 0; i < 50; ++i) {
     const Genome genome = space.random_genome(rng);
@@ -204,13 +165,13 @@ TEST(BatchAdapter, MatchesScalarResults) {
 TEST(EvaluateGenomeBatch, RejectsUndersizedBuffers) {
   const DesignSpace space(tiny_space_config());
   const auto scalar = make_full_model_objective(shared_evaluator());
-  const auto batch = make_batch_adapter(space, scalar, 1);
+  const auto batch = make_batch_adapter(space, scalar);
   util::Rng rng(3);
   const std::vector<Genome> genomes{space.random_genome(rng)};
   std::vector<double> values(batch->arity());
   std::vector<std::uint8_t> counts;  // too small
   EXPECT_THROW(
-      evaluate_genome_batch(*batch, nullptr, genomes, values, counts),
+      evaluate_genome_batch(*batch, genomes, values, counts),
       std::invalid_argument);
 }
 

@@ -65,7 +65,7 @@ class ServeDaemon {
       }
       ::execl(WSNEX_BIN, WSNEX_BIN, "serve", "--port", "0", "--data",
               data_dir_.c_str(), "--port-file", port_file.c_str(), "--slots",
-              "1", "--threads", "1", static_cast<char*>(nullptr));
+              "1", static_cast<char*>(nullptr));
       _exit(127);  // exec failed
     }
 

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,17 +151,93 @@ TEST_F(CampaignTest, RerunOnCompleteCampaignSkipsEverything) {
   EXPECT_EQ(cross_again.skipped, 1u);
 }
 
-TEST_F(CampaignTest, ThreadsOverrideDoesNotChangeArchives) {
-  const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2")};
-  CampaignOptions one = options(dir("t1"));
-  one.threads = 1;
-  CampaignOptions four = options(dir("t4"));
-  four.threads = 4;
-  run_campaign(specs, one);
-  run_campaign(specs, four);
-  EXPECT_EQ(
-      read_file(ResultStore(dir("t1")).pareto_csv_path("hospital_ward_2")),
-      read_file(ResultStore(dir("t4")).pareto_csv_path("hospital_ward_2")));
+TEST_F(CampaignTest, FrozenThreadsFieldParsesButChangesNothing) {
+  // Specs frozen by older versions carry optimizer.threads; they must still
+  // run, checkpoint and resume, with archives byte-identical to threads 0.
+  auto wide = small_campaign();
+  for (ScenarioSpec& spec : wide) spec.optimizer.threads = 8;
+  CampaignOptions interrupted = options(dir("t8"));
+  interrupted.abort_after = 1;
+  EXPECT_FALSE(run_campaign(wide, interrupted).complete);
+  const CampaignReport resumed = resume_campaign(dir("t8"));
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.skipped, 1u);
+  EXPECT_EQ(resumed.executed, 2u);
+
+  auto plain = small_campaign();
+  for (ScenarioSpec& spec : plain) spec.optimizer.threads = 0;
+  run_campaign(plain, options(dir("t0")));
+
+  ResultStore a(dir("t8")), b(dir("t0"));
+  for (const auto& spec : wide) {
+    EXPECT_EQ(a.load_spec(spec.name).optimizer.threads, 8u) << spec.name;
+    EXPECT_EQ(read_file(a.pareto_csv_path(spec.name)),
+              read_file(b.pareto_csv_path(spec.name)))
+        << spec.name;
+    EXPECT_EQ(read_file(a.feasible_csv_path(spec.name)),
+              read_file(b.feasible_csv_path(spec.name)))
+        << spec.name;
+  }
+}
+
+TEST_F(CampaignTest, SerialResumeReportsMixedOutcomesInSpecOrder) {
+  // Complete scenarios 0 and 2 by hand, leaving 1 and 3 pending, so the
+  // resume interleaves skipped and executed scenarios.
+  auto specs = small_campaign();
+  specs.push_back(preset("hospital_ward_4"));
+  {
+    ResultStore store(dir("a"));
+    store.initialize(specs, /*quick=*/true);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+      store.record_complete(
+          execute_scenario(specs[i], options(dir("a")), store, nullptr,
+                           nullptr));
+    }
+  }
+  std::vector<std::string> seen;
+  std::vector<bool> seen_skipped;
+  const CampaignReport report =
+      resume_campaign(dir("a"), {}, [&](const CampaignOutcome& o) {
+        seen.push_back(o.name);
+        seen_skipped.push_back(o.skipped);
+      });
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.skipped, 2u);
+  EXPECT_EQ(report.executed, 2u);
+  const std::vector<bool> expect_skipped{true, false, true, false};
+  ASSERT_EQ(seen.size(), specs.size());
+  ASSERT_EQ(report.outcomes.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(seen[i], specs[i].name) << "callback order";
+    EXPECT_EQ(seen_skipped[i], expect_skipped[i]) << specs[i].name;
+    EXPECT_EQ(report.outcomes[i].name, specs[i].name) << "outcome order";
+    EXPECT_EQ(report.outcomes[i].skipped, expect_skipped[i]) << specs[i].name;
+  }
+}
+
+TEST_F(CampaignTest, SerialFailureStopsLaterScenariosAndPropagates) {
+  const auto specs = small_campaign();
+  std::vector<std::string> hooked;
+  std::vector<std::string> reported;
+  CampaignOptions o = options(dir("a"));
+  o.post_scenario = [&](const ScenarioSpec& spec, const ScenarioRun&,
+                        ResultStore&, util::ThreadPool*) {
+    hooked.push_back(spec.name);
+    if (spec.name == specs[1].name) throw std::runtime_error("hook failed");
+  };
+  EXPECT_THROW(run_campaign(specs, o, [&](const CampaignOutcome& outcome) {
+                 reported.push_back(outcome.name);
+               }),
+               std::runtime_error);
+  // The failure stopped the campaign: the third scenario never started.
+  EXPECT_EQ(hooked, (std::vector<std::string>{specs[0].name, specs[1].name}));
+  EXPECT_EQ(reported, std::vector<std::string>{specs[0].name});
+  ResultStore store(dir("a"));
+  const CampaignManifest manifest = store.load_manifest();
+  EXPECT_TRUE(manifest.scenarios[0].complete);
+  EXPECT_FALSE(manifest.scenarios[1].complete);
+  EXPECT_FALSE(manifest.scenarios[2].complete);
+  EXPECT_FALSE(fs::exists(store.pareto_csv_path(specs[2].name)));
 }
 
 TEST_F(CampaignTest, MismatchedReuseOfStoreIsRejected) {
@@ -254,7 +331,6 @@ TEST_F(CampaignTest, RunScenarioMatchesDirectEngineInvocation) {
   o.generations = spec.optimizer.generations;
   o.crossover_rate = spec.optimizer.crossover_rate;
   o.seed = spec.optimizer.seed;
-  o.threads = 1;
   const dse::DseResult direct = dse::run_nsga2(space, *objective, o);
 
   EXPECT_EQ(run.result.evaluations, direct.evaluations);
@@ -270,9 +346,8 @@ TEST_F(CampaignTest, SharedCacheMatchesFreshCacheAcrossAllPresets) {
   dse::SharedEvalCache cache;
   for (const ScenarioSpec& spec : all_presets()) {
     const ScenarioRun shared =
-        run_scenario(spec, /*quick=*/true, /*threads_override=*/1, nullptr,
-                     &cache);
-    const ScenarioRun fresh = run_scenario(spec, /*quick=*/true, 1);
+        run_scenario(spec, /*quick=*/true, {}, nullptr, &cache);
+    const ScenarioRun fresh = run_scenario(spec, /*quick=*/true);
     EXPECT_EQ(shared.result.evaluations, fresh.result.evaluations)
         << spec.name;
     EXPECT_EQ(shared.result.infeasible_count, fresh.result.infeasible_count)
@@ -288,12 +363,9 @@ TEST_F(CampaignTest, SharedCacheMatchesFreshCacheAcrossAllPresets) {
 
 TEST_F(CampaignTest, ParallelJobsProduceByteIdenticalStores) {
   const auto specs = small_campaign();
-  CampaignOptions serial = options(dir("j1"));
-  serial.threads = 1;
-  run_campaign(specs, serial);
+  run_campaign(specs, options(dir("j1")));
 
   CampaignOptions parallel = options(dir("j2"));
-  parallel.threads = 1;
   parallel.jobs = 2;
   const CampaignReport report = run_campaign(specs, parallel);
   EXPECT_TRUE(report.complete);

@@ -33,7 +33,6 @@ class MetricsEndpointTest : public ::testing::Test {
     SchedulerOptions o;
     o.data_dir = root_.string();
     o.slots = 1;
-    o.threads = 1;
     o.max_queued_jobs = 8;
     return o;
   }

@@ -88,7 +88,6 @@ class SchedulerTest : public ::testing::Test {
     SchedulerOptions o;
     o.data_dir = root_.string();
     o.slots = slots;
-    o.threads = 1;
     o.max_queued_jobs = max_queued;
     return o;
   }

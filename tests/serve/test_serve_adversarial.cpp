@@ -36,7 +36,6 @@ class AdversarialTest : public ::testing::Test {
     SchedulerOptions o;
     o.data_dir = root_.string();
     o.slots = 1;
-    o.threads = 1;
     o.max_queued_jobs = max_queued;
     return o;
   }

@@ -1,6 +1,6 @@
-// Direct CsvWriter coverage: quoting/escaping edge cases and full-precision
+// Direct CsvWriter coverage: quoting/escaping edge cases, full-precision
 // numeric round-trips (the campaign result store depends on both — archive
-// CSVs must reload to bit-identical doubles).
+// CSVs must reload to bit-identical doubles) and write-error reporting.
 #include "util/csv.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <filesystem>
 #include <vector>
+
+#include "util/fsio.hpp"
 
 namespace wsnex::util {
 namespace {
@@ -145,6 +148,32 @@ TEST_F(CsvWriterTest, EmptyRowWritesBlankLine) {
     csv.write_row({""});
   }
   EXPECT_EQ(read_back(), "\n\n");
+}
+
+TEST_F(CsvWriterTest, CloseReportsAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // A few rows stay in the stream buffer; the flush in close() is where
+  // ENOSPC surfaces.
+  CsvWriter csv("/dev/full");
+  csv.write_row({"h1", "h2"});
+  csv.write_numeric_row({1.0, 2.0});
+  try {
+    csv.close();
+    FAIL() << "close() on /dev/full did not throw";
+  } catch (const FileError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CsvWriterTest, RowWritesReportAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // Enough rows to overflow the stream buffer: the failure surfaces from
+  // write_row itself, before close().
+  CsvWriter csv("/dev/full");
+  const std::vector<std::string> row(64, std::string(64, 'x'));
+  EXPECT_THROW(
+      for (int i = 0; i < 1024; ++i) csv.write_row(row), FileError);
 }
 
 }  // namespace

@@ -173,22 +173,22 @@ TEST(ThreadPool, NestedParallelForInsideParallelFor) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ResolveLayoutClampsTheProductButKeepsJobs) {
+TEST(ThreadPool, ResolveLayoutSizesThePoolToJobs) {
   const std::size_t hw = ThreadPool::resolve_threads(0);
-  // jobs x threads within the machine: untouched.
-  const auto fits = ThreadPool::resolve_layout(1, 1);
-  EXPECT_EQ(fits.jobs, 1u);
-  EXPECT_EQ(fits.pool_width, 1u);
-  // Oversubscribed product: clamped to hardware concurrency...
-  const auto clamped = ThreadPool::resolve_layout(2, hw);
-  EXPECT_EQ(clamped.jobs, 2u);
-  EXPECT_EQ(clamped.pool_width, std::max<std::size_t>(2, hw));
-  // ... but an explicit jobs request keeps its scenario concurrency even
-  // on a narrower machine.
-  const auto wide = ThreadPool::resolve_layout(4 * hw, 1);
-  EXPECT_EQ(wide.pool_width, 4 * hw);
+  // The pool is exactly as wide as the scenario concurrency; the
+  // per-scenario thread count no longer enters the layout.
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, hw}) {
+    const auto one = ThreadPool::resolve_layout(1, threads);
+    EXPECT_EQ(one.jobs, 1u);
+    EXPECT_EQ(one.pool_width, 1u);
+    const auto wide = ThreadPool::resolve_layout(4 * hw, threads);
+    EXPECT_EQ(wide.jobs, 4 * hw);
+    EXPECT_EQ(wide.pool_width, 4 * hw);
+  }
   // jobs == 0 is treated as 1.
-  EXPECT_GE(ThreadPool::resolve_layout(0, 1).jobs, 1u);
+  const auto zero = ThreadPool::resolve_layout(0, 8);
+  EXPECT_EQ(zero.jobs, 1u);
+  EXPECT_EQ(zero.pool_width, 1u);
 }
 
 TEST(ThreadPool, ReusableAcrossManyBatches) {

@@ -26,7 +26,7 @@
 // and `wsnex run examples/scenarios/hospital_ward_6.json` are equivalent.
 //
 // Campaigns are deterministic: a fixed spec (seed included) reproduces
-// bit-identical archives regardless of --threads, `wsnex resume` after a
+// bit-identical archives regardless of --jobs, `wsnex resume` after a
 // kill completes a campaign to the same bytes an uninterrupted run
 // produces, and `wsnex validate` emits byte-identical
 // validation.json/validation.csv regardless of --jobs (counter-derived
@@ -71,10 +71,10 @@ int usage(std::FILE* to) {
                "  wsnex list [--json]\n"
                "  wsnex check <spec.json|preset>...\n"
                "  wsnex run <spec.json|preset>... -o DIR [--quick] "
-               "[--threads N] [--jobs N] [--cache-dir DIR] "
+               "[--jobs N] [--cache-dir DIR] "
                "[--abort-after N] [--validate] [--no-progress] "
                "[--trace PATH]\n"
-               "  wsnex resume DIR [--threads N] [--jobs N] "
+               "  wsnex resume DIR [--jobs N] "
                "[--cache-dir DIR] [--abort-after N] [--validate] "
                "[--no-progress] [--trace PATH]\n"
                "  wsnex report DIR [--metrics] [--convergence]\n"
@@ -85,7 +85,7 @@ int usage(std::FILE* to) {
                "  wsnex validate <spec.json|preset>... [-o DIR] "
                "[--replicates N] [--jobs J]\n"
                "                 [--tolerance PCT] [--duration S] [--seed N]\n"
-               "  wsnex serve --data DIR [--port N] [--slots N] [--threads N] "
+               "  wsnex serve --data DIR [--port N] [--slots N] "
                "[--max-queued N]\n"
                "              [--cache-dir DIR] [--port-file PATH] "
                "[--access-log]\n"
@@ -106,13 +106,10 @@ int usage(std::FILE* to) {
                "spec files)\n"
                "      --quick       smoke-test budgets (16x8 NSGA-II / 256 "
                "evaluations)\n"
-               "      --threads N   worker threads (0 = hardware concurrency; "
-               "never changes results)\n"
                "      --jobs N      concurrent scenarios / validation "
-               "replicates on one shared\n"
-               "                    pool (clamped against hardware "
-               "concurrency; never changes\n"
-               "                    result files)\n"
+               "replicates on one pool\n"
+               "                    (0 = hardware concurrency; never "
+               "changes result files)\n"
                "      --cache-dir DIR  on-disk warm cache: skips the codec "
                "calibration cold\n"
                "                    start on repeated runs (bit-identical "
@@ -167,7 +164,7 @@ int usage(std::FILE* to) {
                "passed.\n"
                "`wsnex serve` runs campaigns and validations as a local "
                "HTTP/JSON service:\n"
-               "concurrent jobs share one evaluation pool with "
+               "concurrent jobs share --slots workers with "
                "priority-weighted fairness,\n"
                "SIGTERM drains and checkpoints, and a restarted daemon "
                "resumes interrupted jobs.\n");
@@ -286,7 +283,6 @@ struct CommonFlags {
   bool convergence = false;
   bool no_progress = false;
   bool quick = false;
-  std::optional<std::size_t> threads;
   std::size_t jobs = 1;
   std::size_t abort_after = 0;
   bool validate = false;
@@ -349,15 +345,10 @@ CommonFlags parse_flags(const std::vector<std::string>& args) {
       if (const auto v = next_value("-o")) flags.out_dir = *v;
     } else if (a == "--quick") {
       flags.quick = true;
-    } else if (a == "--threads") {
-      if (const auto v = next_value("--threads")) {
-        if (const auto n = parse_count(*v, "--threads")) flags.threads = *n;
-        else flags.ok = false;
-      }
     } else if (a == "--jobs") {
       if (const auto v = next_value("--jobs")) {
         if (const auto n = parse_count(*v, "--jobs")) {
-          // --jobs 0 means "one per hardware thread", like --threads 0.
+          // --jobs 0 means "one per hardware thread".
           flags.jobs = std::max<std::size_t>(
               *n == 0 ? std::thread::hardware_concurrency() : *n, 1);
         } else {
@@ -511,7 +502,6 @@ int cmd_run(const std::vector<std::string>& args) {
   scenario::CampaignOptions options;
   options.out_dir = flags.out_dir;
   options.quick = flags.quick;
-  options.threads = flags.threads;
   options.abort_after = flags.abort_after;
   options.jobs = flags.jobs;
   options.cache_dir = flags.cache_dir;
@@ -537,7 +527,6 @@ int cmd_resume(const std::vector<std::string>& args) {
   }
   const std::string& out_dir = flags.positional.front();
   scenario::ResumeOverrides overrides;
-  overrides.threads = flags.threads;
   overrides.abort_after = flags.abort_after;
   overrides.jobs = flags.jobs;
   overrides.cache_dir = flags.cache_dir;

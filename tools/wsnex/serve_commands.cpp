@@ -90,7 +90,6 @@ struct ServeFlags {
   std::string id;
   std::string kind = "campaign";
   std::size_t slots = 0;
-  std::size_t threads = 1;
   std::size_t max_queued = 64;
   std::size_t priority = 1;
   bool quick = false;
@@ -157,8 +156,6 @@ ServeFlags parse_serve_flags(const std::vector<std::string>& args) {
       }
     } else if (a == "--slots") {
       count_flag("--slots", [&](std::size_t n) { flags.slots = n; });
-    } else if (a == "--threads") {
-      count_flag("--threads", [&](std::size_t n) { flags.threads = n; });
     } else if (a == "--max-queued") {
       count_flag("--max-queued", [&](std::size_t n) { flags.max_queued = n; });
     } else if (a == "--priority") {
@@ -256,7 +253,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   serve::SchedulerOptions scheduler_options;
   scheduler_options.data_dir = flags.data_dir;
   scheduler_options.slots = flags.slots;
-  scheduler_options.threads = flags.threads;
   scheduler_options.max_queued_jobs = flags.max_queued;
   scheduler_options.cache_dir = flags.cache_dir;
 
