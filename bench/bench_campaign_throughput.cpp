@@ -11,11 +11,16 @@
 //     per-scenario (fresh) tables vs. the process-wide SharedEvalCache,
 //   * campaign: end-to-end run_campaign() over every built-in preset,
 //     swept along the --jobs axis,
-//   * composed cold/warm invocation totals (calibration + campaign).
+//   * composed cold/warm invocation totals (calibration + campaign),
+//   * telemetry: one MOSA and one NSGA-II preset at their default budgets
+//     with convergence telemetry (progress.jsonl) on and off, and the
+//     on/off ratio CI gates.
 //
 // Usage: bench_campaign_throughput [--json[=PATH]] [--quick]
 //   --quick shrinks per-scenario budgets to the smoke size and runs one
 //   repetition — CI uses it to keep this path and its JSON from rotting.
+//   The telemetry block keeps the default budgets either way: the cost it
+//   gates is the one the shipped defaults pay.
 //
 // The committed BENCH_campaign_throughput.json embeds this driver's
 // output inside hand-recorded context blocks (`machine`, and
@@ -36,6 +41,7 @@
 #include "dsp/prd_calibration.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -47,6 +53,46 @@ struct CampaignPoint {
   std::size_t jobs = 1;
   double wall_s = 0.0;
 };
+
+struct TelemetryPoint {
+  std::string scenario;
+  double on_s = 0.0;   ///< median wall time, progress on
+  double off_s = 0.0;  ///< median wall time, progress off
+};
+
+/// One scenario through run_campaign (fresh store each time) with
+/// progress on and off, in `pairs` alternating pairs so both sides see the
+/// same machine drift. Medians, not best-of: the gate is on the typical
+/// run.
+TelemetryPoint measure_telemetry(const scenario::ScenarioSpec& spec,
+                                 const fs::path& root, int pairs) {
+  const auto run = [&](bool progress) {
+    const fs::path store = root / (spec.name + (progress ? "_on" : "_off"));
+    fs::remove_all(store);
+    scenario::CampaignOptions options;
+    options.out_dir = store.string();
+    options.progress = progress;
+    const double start = bench::now_s();
+    (void)scenario::run_campaign({spec}, options);
+    const double wall_s = bench::now_s() - start;
+    fs::remove_all(store);
+    return wall_s;
+  };
+  (void)run(true);  // warm-up: shared eval cache, page cache
+  (void)run(false);
+  std::vector<double> on, off;
+  for (int i = 0; i < pairs; ++i) {
+    if (i % 2 == 0) {
+      on.push_back(run(true));
+      off.push_back(run(false));
+    } else {
+      off.push_back(run(false));
+      on.push_back(run(true));
+    }
+  }
+  return {spec.name, util::percentile(on, 50.0),
+          util::percentile(off, 50.0)};
+}
 
 int run_bench(const std::string& path, bool quick) {
   std::FILE* out = bench::open_json_sink(path);
@@ -115,6 +161,17 @@ int run_bench(const std::string& path, bool quick) {
                  presets.size(), jobs, point.wall_s);
   }
 
+  // --- Telemetry on/off at default budgets. ---------------------------
+  const int pairs = quick ? 15 : 31;
+  std::vector<TelemetryPoint> telemetry;
+  for (const char* name : {"relaxed_quality_mosa_6", "hospital_ward_6"}) {
+    telemetry.push_back(
+        measure_telemetry(scenario::preset(name), scratch_root, pairs));
+    const TelemetryPoint& t = telemetry.back();
+    std::fprintf(stderr, "telemetry (%s): on %.4f s, off %.4f s (%.2fx)\n",
+                 name, t.on_s, t.off_s, t.on_s / t.off_s);
+  }
+
   const double campaign_serial_s = campaigns.front().wall_s;
   const double cold_total_s = calibration_cold_s + campaign_serial_s;
   const double warm_total_s = calibration_warm_s + campaign_serial_s;
@@ -143,8 +200,20 @@ int run_bench(const std::string& path, bool quick) {
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"invocation_totals\": {\"cold_s\": %.6f, \"warm_s\": "
-                    "%.6f, \"warm_vs_cold_speedup\": %.2f}\n",
+                    "%.6f, \"warm_vs_cold_speedup\": %.2f},\n",
                cold_total_s, warm_total_s, cold_total_s / warm_total_s);
+  std::fprintf(out, "  \"telemetry\": {\"pairs\": %d, \"budget\": "
+                    "\"default\", \"scenarios\": [\n",
+               pairs);
+  for (std::size_t i = 0; i < telemetry.size(); ++i) {
+    const TelemetryPoint& t = telemetry[i];
+    std::fprintf(out,
+                 "    {\"scenario\": \"%s\", \"on_s\": %.6f, \"off_s\": "
+                 "%.6f, \"on_off_ratio\": %.3f}%s\n",
+                 t.scenario.c_str(), t.on_s, t.off_s, t.on_s / t.off_s,
+                 i + 1 < telemetry.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]}\n");
   std::fprintf(out, "}\n");
   bench::close_json_sink(out, path);
   fs::remove_all(scratch_root);

@@ -162,22 +162,16 @@ class BatchRunner {
 /// outside all PRNG draws and archive mutations, and only reads `result`,
 /// so attaching a sink never perturbs the run.
 void notify_progress(const ProgressSink& sink, std::size_t generation,
-                     const DseResult& result, const Stopwatch& watch) {
+                     std::size_t last_generation, const DseResult& result,
+                     const Stopwatch& watch) {
   if (!sink) return;
   ProgressSnapshot snap;
   snap.generation = generation;
+  snap.final = generation == last_generation;
   snap.evaluations = result.evaluations;
   snap.infeasible = result.infeasible_count;
   snap.archive_size = result.archive.size();
   snap.objective_count = result.archive.arity();
-  const std::vector<double>& flat = result.archive.objectives_flat();
-  const std::size_t m = snap.objective_count;
-  for (std::size_t i = 0; i < snap.archive_size; ++i) {
-    const double* row = flat.data() + i * m;
-    for (std::size_t k = 0; k < m; ++k) {
-      if (i == 0 || row[k] < snap.best[k]) snap.best[k] = row[k];
-    }
-  }
   snap.elapsed_s = watch.elapsed_s();
   snap.evals_per_s = snap.elapsed_s > 1e-9
                          ? static_cast<double>(result.evaluations) /
@@ -224,7 +218,7 @@ DseResult run_nsga2_batch(const DesignSpace& space,
   runner.evaluate(pending);
   absorb_pending(population);
   ranker.rank(population);
-  notify_progress(options.progress, 0, result, watch);
+  notify_progress(options.progress, 0, options.generations, result, watch);
 
   auto tournament = [&]() -> const Individual& {
     const Individual& a = population[rng.index(population.size())];
@@ -256,7 +250,8 @@ DseResult run_nsga2_batch(const DesignSpace& space,
                 return better(a, b);
               });
     population.resize(options.population);
-    notify_progress(options.progress, gen + 1, result, watch);
+    notify_progress(options.progress, gen + 1, options.generations, result,
+                    watch);
   }
   result.wallclock_s = watch.elapsed_s();
   return result;
@@ -292,7 +287,7 @@ DseResult run_mosa_batch(const DesignSpace& space,
 
   Genome neighbour;
   double temperature = options.initial_temperature;
-  notify_progress(options.progress, 0, result, watch);
+  notify_progress(options.progress, 0, options.iterations, result, watch);
   for (std::size_t it = 0; it < options.iterations; ++it) {
     neighbour = current;
     space.mutate(neighbour, rng, options.mutation_rate);
@@ -317,7 +312,8 @@ DseResult run_mosa_batch(const DesignSpace& space,
         std::copy_n(neighbour_obj, m, current_obj.begin());
       }
     }
-    notify_progress(options.progress, it + 1, result, watch);
+    notify_progress(options.progress, it + 1, options.iterations, result,
+                    watch);
   }
   result.wallclock_s = watch.elapsed_s();
   return result;

@@ -37,29 +37,35 @@ struct DseResult {
 /// Read-only view of a run's state handed to a ProgressSink once per
 /// generation (NSGA-II) or iteration (MOSA). Everything in here is a copy
 /// except `archive`, which points at the live archive and is valid only
-/// for the duration of the callback.
+/// for the duration of the callback. Building one costs a few loads and a
+/// clock read; whole-archive statistics (ideal point, hypervolume) are left
+/// to the sink, which can skip them when `archive->revision()` is
+/// unchanged since its last look.
 struct ProgressSnapshot {
   /// NSGA-II: generation, 0 being the evaluated initial population.
   /// MOSA: iterations completed, 0 being the feasible starting point.
   std::size_t generation = 0;
+  /// True for the run's last snapshot (generation == the configured
+  /// generation or iteration count).
+  bool final = false;
   std::size_t evaluations = 0;  ///< objective calls issued so far
   std::size_t infeasible = 0;   ///< infeasible designs rejected so far
   std::size_t archive_size = 0;
-  /// Ideal point: per-objective minima over the archive (undefined entries
-  /// beyond `objective_count`; all zero when the archive is empty).
-  double best[kMaxObjectives] = {};
-  std::size_t objective_count = 0;
+  std::size_t objective_count = 0;  ///< archive arity (0 while empty)
   double elapsed_s = 0.0;
   double evals_per_s = 0.0;  ///< evaluations / elapsed_s (0 while elapsed ~ 0)
-  /// Live archive, for derived statistics (hypervolume, feasible counts).
-  /// Do not retain past the callback.
+  /// Live archive, for derived statistics (ideal point, hypervolume,
+  /// feasible counts). Do not retain past the callback.
   const ParetoArchive* archive = nullptr;
 };
 
 /// Per-generation observer. Strictly read-only: the optimizers invoke it
 /// outside all PRNG draws and archive mutations, so attaching a sink (or
 /// not) never changes results — archives stay byte-identical either way.
-/// The sink runs on the optimizer's calling thread; keep it cheap.
+/// The sink runs on the optimizer's calling thread once per generation or
+/// iteration (a MOSA run calls it 4001 times at the default budget), so it
+/// should decide cheaply whether a snapshot is worth recording; the
+/// campaign's sink records only snapshots where the archive moved.
 using ProgressSink = std::function<void(const ProgressSnapshot&)>;
 
 /// Tuning knobs for run_nsga2(). All defaults reproduce the paper's setup

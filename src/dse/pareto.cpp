@@ -229,6 +229,7 @@ bool ParetoArchive::insert(Genome genome, Objectives objectives) {
   if (!scan_and_evict(view)) return false;
   flat_.insert(flat_.end(), objectives.begin(), objectives.end());
   entries_.push_back({std::move(genome), std::move(objectives)});
+  ++revision_;
   return true;
 }
 
@@ -238,6 +239,7 @@ bool ParetoArchive::insert(const Genome& genome,
   flat_.insert(flat_.end(), objectives.begin(), objectives.end());
   entries_.push_back(
       {genome, Objectives(objectives.begin(), objectives.end())});
+  ++revision_;
   return true;
 }
 

@@ -127,6 +127,10 @@ class ParetoArchive {
   const std::vector<double>& objectives_flat() const { return flat_; }
   /// Objective arity shared by all members; 0 while the archive is empty.
   std::size_t arity() const { return arity_; }
+  /// Number of accepted inserts so far. The member set (hence any
+  /// statistic of it, e.g. hypervolume) can only have changed between two
+  /// reads if the revision differs.
+  std::uint64_t revision() const { return revision_; }
 
   /// True iff `objectives` is dominated by (or equal to) a member.
   bool covered(const Objectives& objectives) const;
@@ -141,6 +145,7 @@ class ParetoArchive {
   /// same order as entries_) so insert()/covered() scan flat memory.
   std::vector<double> flat_;
   std::size_t arity_ = 0;
+  std::uint64_t revision_ = 0;
   /// Index of the member that rejected the last candidate — probed first
   /// on the next insert (a pure scan-order heuristic; decisions are
   /// scan-order independent). May be stale after evictions; validated
@@ -168,8 +173,8 @@ double coverage_fraction(const std::vector<Objectives>& candidate,
 double hypervolume(const std::vector<Objectives>& front,
                    const Objectives& reference_point);
 
-/// Reusable buffers for hypervolume3_flat() — the per-generation progress
-/// path calls it once per snapshot, and persistent scratch keeps that
+/// Reusable buffers for hypervolume3_flat() — the progress path calls it
+/// once per recorded snapshot, and persistent scratch keeps that
 /// allocation-free after warm-up.
 struct Hypervolume3Scratch {
   std::vector<std::uint32_t> order;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 
@@ -166,6 +167,13 @@ util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
   return summary;
 }
 
+/// A scenario's progress.jsonl gets a record at least this many
+/// generations apart, so a live view of a stalled run still ticks.
+constexpr std::size_t kMaxRecordGap = 64;
+/// progress.jsonl is flushed at most this often, measured on the run's
+/// own clock (ProgressSnapshot::elapsed_s); the final record always is.
+constexpr double kFlushInterval_s = 0.1;
+
 /// Per-scenario state shared by the convergence sink's invocations (the
 /// sink runs on the scenario's own task thread, so no locking is needed;
 /// the shared_ptr only extends lifetime into the capturing lambda).
@@ -177,12 +185,22 @@ struct ConvergenceState {
   std::string job_id;
   util::events::EventRing* events = nullptr;
   dse::Hypervolume3Scratch scratch;
+  std::size_t last_generation = 0;  ///< generation of the last record
+  std::uint64_t last_revision = 0;  ///< archive revision at the last record
+  double last_flush_s = 0.0;        ///< elapsed_s at the last flush
 };
 
-/// Builds the per-generation convergence observer for one scenario: a
-/// progress.jsonl line (flushed, so the file tails live) and/or an event
-/// published into the campaign's ring. Returns an empty sink when both
-/// outputs are disabled. Strictly read-only w.r.t. the optimizer run.
+/// Builds the convergence observer for one scenario: progress.jsonl
+/// records and/or events published into the campaign's ring. It is called
+/// every generation but records only snapshots that carry news — the
+/// first and the final one, any where the archive changed (so every
+/// hypervolume change point is kept with its exact value), and otherwise
+/// one per kMaxRecordGap generations. Skipped snapshots cost a few loads;
+/// hypervolume, feasible count and ideal point are computed only for
+/// recorded ones. The file is buffered and flushed on the final record,
+/// every kFlushInterval_s of run time, and on close. Returns an empty
+/// sink when both outputs are disabled. Strictly read-only w.r.t. the
+/// optimizer run.
 dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
                                         const CampaignOptions& options,
                                         ResultStore& store) {
@@ -199,20 +217,36 @@ dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
                     std::ios::out | std::ios::trunc);
   }
   return [state](const dse::ProgressSnapshot& snap) {
-    // Clinically feasible members of the current archive. Arity is 3 for
-    // every campaign objective; guard anyway so a 2-objective adapter run
-    // degrades to zeros instead of reading out of bounds.
+    const std::uint64_t revision =
+        snap.archive != nullptr ? snap.archive->revision() : 0;
+    if (snap.generation != 0 && !snap.final &&
+        revision == state->last_revision &&
+        snap.generation - state->last_generation < kMaxRecordGap) {
+      return;
+    }
+    state->last_generation = snap.generation;
+    state->last_revision = revision;
+
+    // Clinically feasible members and the ideal point of the current
+    // archive. Arity is 3 for every campaign objective; guard anyway so a
+    // 2-objective adapter run degrades to zeros instead of reading out of
+    // bounds.
     std::size_t feasible = 0;
+    double best[3] = {};
     double hv = 0.0;
     if (snap.objective_count == 3 && snap.archive != nullptr) {
-      for (const dse::ArchiveEntry& e : snap.archive->entries()) {
-        if (e.objectives[1] <= state->constraints.max_prd_percent &&
-            e.objectives[2] <= state->constraints.max_delay_s) {
+      const double* rows = snap.archive->objectives_flat().data();
+      for (std::size_t i = 0; i < snap.archive_size; ++i) {
+        const double* row = rows + 3 * i;
+        if (row[1] <= state->constraints.max_prd_percent &&
+            row[2] <= state->constraints.max_delay_s) {
           ++feasible;
         }
+        for (std::size_t k = 0; k < 3; ++k) {
+          if (i == 0 || row[k] < best[k]) best[k] = row[k];
+        }
       }
-      hv = dse::hypervolume3_flat(snap.archive->objectives_flat().data(),
-                                  snap.archive->size(), 3,
+      hv = dse::hypervolume3_flat(rows, snap.archive_size, 3,
                                   state->reference.data(), state->scratch);
     }
     if (state->out.is_open()) {
@@ -224,17 +258,21 @@ dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
       line.set("archive_size", snap.archive_size);
       line.set("feasible", feasible);
       if (snap.objective_count == 3 && snap.archive_size > 0) {
-        util::Json best = util::Json::object();
-        best.set("e_net_mj_per_s", snap.best[0]);
-        best.set("prd_net_percent", snap.best[1]);
-        best.set("d_net_s", snap.best[2]);
-        line.set("best", std::move(best));
+        util::Json best_json = util::Json::object();
+        best_json.set("e_net_mj_per_s", best[0]);
+        best_json.set("prd_net_percent", best[1]);
+        best_json.set("d_net_s", best[2]);
+        line.set("best", std::move(best_json));
       }
       line.set("hypervolume", hv);
       line.set("elapsed_s", snap.elapsed_s);
       line.set("evals_per_s", snap.evals_per_s);
       state->out << line.dump() << '\n';
-      state->out.flush();
+      if (snap.final ||
+          snap.elapsed_s - state->last_flush_s >= kFlushInterval_s) {
+        state->out.flush();
+        state->last_flush_s = snap.elapsed_s;
+      }
     }
     if (state->events != nullptr) {
       util::events::Event e = util::events::make_event(

@@ -123,16 +123,21 @@ struct CampaignOptions {
   /// no disk cache.
   std::string cache_dir;
   /// Convergence telemetry (`wsnex run`, default on; `--no-progress`
-  /// disables): each executed scenario streams a per-generation progress
-  /// record — evaluations, archive size, feasible count, ideal point,
-  /// hypervolume w.r.t. hv_reference_point() — to
-  /// results/<name>/progress.jsonl, one JSON object per line, flushed per
-  /// generation so the file can be tailed live. Strictly observational:
-  /// pareto.csv/feasible.csv stay byte-identical either way (CI cmps this).
+  /// disables): each executed scenario writes progress records —
+  /// evaluations, archive size, feasible count, ideal point, hypervolume
+  /// w.r.t. hv_reference_point() — to results/<name>/progress.jsonl, one
+  /// JSON object per line. A record is written for generation 0, the final
+  /// generation, every generation where the archive changed (so every
+  /// hypervolume change is kept exactly), and at least every 64
+  /// generations otherwise. The file is buffered and flushed on the final
+  /// record and every 100 ms of run time, so it can still be tailed live.
+  /// Strictly observational: pareto.csv/feasible.csv stay byte-identical
+  /// either way (CI cmps this).
   bool progress = true;
-  /// Optional event ring: scenario lifecycle and generation-progress
-  /// events are published here (the serve scheduler passes each job's
-  /// ring). Not owned; must outlive the campaign. Null = no events.
+  /// Optional event ring: scenario lifecycle events and one generation
+  /// event per progress record (same emit rule as progress.jsonl) are
+  /// published here (the serve scheduler passes each job's ring). Not
+  /// owned; must outlive the campaign. Null = no events.
   util::events::EventRing* events = nullptr;
   /// Job id stamped into published events (serve mode; empty otherwise).
   std::string event_job_id;

@@ -33,7 +33,8 @@
 namespace wsnex::util::events {
 
 /// Event taxonomy. Lifecycle events describe jobs/scenarios moving through
-/// the scheduler; `kGeneration` carries per-generation optimizer progress.
+/// the scheduler; `kGeneration` carries optimizer progress (one event per
+/// campaign progress record, not per generation).
 enum class Kind : std::uint8_t {
   kJobQueued = 0,
   kJobStarted,

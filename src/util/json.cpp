@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -297,12 +298,22 @@ void dump_string(std::string& out, const std::string& s) {
 }  // namespace
 
 std::string format_double_shortest(double value) {
+  // to_chars(general, p) is specified as printf's %.*g in the C locale,
+  // and from_chars rounds correctly like strtod, so this is the
+  // snprintf/strtod loop without the locale lookups and format parsing.
   char buf[32];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, precision)
+              .ptr;
+    double parsed = 0.0;
+    if (std::from_chars(buf, end, parsed).ec == std::errc() &&
+        parsed == value) {
+      break;
+    }
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 JsonParseError::JsonParseError(const std::string& message, std::size_t line,

@@ -20,10 +20,12 @@
 
 namespace wsnex::util {
 
-/// Shortest decimal form of a finite double that parses back (strtod) to
-/// exactly the same value — tries 15, 16, then 17 significant digits (17
-/// always round-trips for IEEE 754 doubles). Shared by the JSON writer
-/// and the campaign CSV export so both emit identical, lossless numbers.
+/// Shortest decimal form of a finite double that parses back to exactly
+/// the same value — printf's %.15g, %.16g, then %.17g, whichever
+/// round-trips first (17 always does for IEEE 754 doubles); output is
+/// byte-identical to that snprintf/strtod loop but locale-independent.
+/// Shared by the JSON writer and the campaign CSV export so both emit
+/// identical, lossless numbers.
 std::string format_double_shortest(double value);
 
 /// Parse failure with the 1-based line/column of the offending input.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace wsnex::dse {
 namespace {
 
@@ -79,6 +82,48 @@ TEST(Nsga2, DeterministicPerSeed) {
   const DseResult b = run_nsga2(space, fn, opt);
   ASSERT_EQ(a.archive.size(), b.archive.size());
   EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+// Both optimizers call the sink once per generation (iteration), in
+// order from 0, flag only the last call as final, and hand over an archive
+// whose revision moves exactly when its member set may have.
+TEST(Optimizers, ProgressSinkSeesEveryGenerationAndFlagsTheLast) {
+  const DesignSpace space(tiny_space_config());
+  const auto fn = make_full_model_objective(shared_evaluator());
+  struct Call {
+    std::size_t generation;
+    bool final;
+    std::uint64_t revision;
+  };
+  std::vector<Call> calls;
+  const ProgressSink sink = [&](const ProgressSnapshot& snap) {
+    ASSERT_NE(snap.archive, nullptr);
+    calls.push_back({snap.generation, snap.final, snap.archive->revision()});
+  };
+  const auto check = [&](std::size_t last, const DseResult& result) {
+    ASSERT_EQ(calls.size(), last + 1);
+    for (std::size_t g = 0; g <= last; ++g) {
+      EXPECT_EQ(calls[g].generation, g);
+      EXPECT_EQ(calls[g].final, g == last) << g;
+      if (g > 0) {
+        EXPECT_GE(calls[g].revision, calls[g - 1].revision);
+      }
+    }
+    EXPECT_EQ(calls.back().revision, result.archive.revision());
+    EXPECT_GT(result.archive.revision(), 0u);
+    calls.clear();
+  };
+
+  Nsga2Options nsga2;
+  nsga2.population = 16;
+  nsga2.generations = 10;
+  nsga2.progress = sink;
+  check(10, run_nsga2(space, fn, nsga2));
+
+  MosaOptions mosa;
+  mosa.iterations = 50;
+  mosa.progress = sink;
+  check(50, run_mosa(space, fn, mosa));
 }
 
 TEST(Nsga2, RejectsDegeneratePopulation) {

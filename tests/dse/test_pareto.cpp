@@ -90,6 +90,7 @@ TEST(Archive, KeepsOnlyNonDominated) {
   EXPECT_TRUE(archive.insert({}, {1.0, 3.0}));   // incomparable
   EXPECT_TRUE(archive.insert({}, {0.5, 0.5}));   // dominates everything
   EXPECT_EQ(archive.size(), 1u);
+  EXPECT_EQ(archive.revision(), 3u);  // one per accepted insert
   EXPECT_TRUE(archive.covered({0.6, 0.6}));
   EXPECT_FALSE(archive.covered({0.4, 0.6}));
 }
@@ -99,6 +100,7 @@ TEST(Archive, RejectsDuplicates) {
   EXPECT_TRUE(archive.insert({}, {1.0, 2.0}));
   EXPECT_FALSE(archive.insert({}, {1.0, 2.0}));
   EXPECT_EQ(archive.size(), 1u);
+  EXPECT_EQ(archive.revision(), 1u);  // a rejection leaves it unchanged
 }
 
 TEST(Archive, InvariantUnderRandomInsertions) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "dse/pareto.hpp"
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/json.hpp"
@@ -465,7 +468,7 @@ TEST_F(CampaignTest, ProgressJsonlSchemaAndMonotoneHypervolume) {
   ASSERT_TRUE(fs::exists(path));
   std::ifstream in(path, std::ios::binary);
   std::string line;
-  std::int64_t expected_generation = 0;
+  std::int64_t last_generation = -1;
   std::int64_t last_evaluations = 0;
   double last_hv = -1.0;
   std::size_t records = 0;
@@ -473,8 +476,13 @@ TEST_F(CampaignTest, ProgressJsonlSchemaAndMonotoneHypervolume) {
     ASSERT_FALSE(line.empty());
     const util::Json record = util::Json::parse(line);
     EXPECT_EQ(record.at("scenario").as_string(), "hospital_ward_2");
-    // One record per generation, in order, starting at generation 0.
-    EXPECT_EQ(record.at("generation").as_int64(), expected_generation++);
+    // Strictly increasing generations, starting at generation 0.
+    const std::int64_t generation = record.at("generation").as_int64();
+    if (records == 0) {
+      EXPECT_EQ(generation, 0);
+    }
+    EXPECT_GT(generation, last_generation);
+    last_generation = generation;
     const std::int64_t evaluations = record.at("evaluations").as_int64();
     EXPECT_GT(evaluations, last_evaluations);
     last_evaluations = evaluations;
@@ -494,7 +502,95 @@ TEST_F(CampaignTest, ProgressJsonlSchemaAndMonotoneHypervolume) {
     ++records;
   }
   EXPECT_GT(records, 1u);
+  // ... and ending at the final one.
+  EXPECT_EQ(last_generation,
+            static_cast<std::int64_t>(
+                quick_variant(preset("hospital_ward_2")).optimizer.generations));
   EXPECT_GT(last_hv, 0.0);
+}
+
+// progress.jsonl records only snapshots that carry news. Against a
+// reference sink that scores every generation, the records must keep the
+// first and final generations, every hypervolume change point with its
+// exact value, a record at least every 64 generations, and therefore the
+// generation at which the run first reaches 50/90/99 % of its final
+// hypervolume.
+TEST_F(CampaignTest, ProgressRecordsKeepTheHypervolumeTrajectory) {
+  constexpr std::size_t kMaxRecordGap = 64;
+  const std::pair<const char*, bool> cases[] = {
+      {"relaxed_quality_mosa_6", false},  // default budget, 4001 snapshots
+      {"hospital_ward_2", true}};         // quick NSGA-II
+  for (const auto& [name, quick] : cases) {
+    SCOPED_TRACE(name);
+    const ScenarioSpec spec = preset(name);
+    const dse::Objectives reference_point = hv_reference_point(spec);
+    dse::Hypervolume3Scratch scratch;
+    std::vector<double> reference;  // hypervolume by generation
+    run_scenario(spec, quick, {}, nullptr, nullptr,
+                 [&](const dse::ProgressSnapshot& snap) {
+                   EXPECT_EQ(snap.generation, reference.size());
+                   reference.push_back(dse::hypervolume3_flat(
+                       snap.archive->objectives_flat().data(),
+                       snap.archive_size, 3, reference_point.data(),
+                       scratch));
+                 });
+    ASSERT_GT(reference.size(), 1u);
+
+    CampaignOptions o = options(dir(name));
+    o.quick = quick;
+    run_campaign({spec}, o);
+    std::ifstream in(ResultStore(dir(name)).progress_jsonl_path(name),
+                     std::ios::binary);
+    std::vector<std::size_t> generations;
+    std::vector<double> recorded;
+    std::string line;
+    while (std::getline(in, line)) {
+      const util::Json record = util::Json::parse(line);
+      generations.push_back(
+          static_cast<std::size_t>(record.at("generation").as_int64()));
+      recorded.push_back(record.at("hypervolume").as_double());
+    }
+    ASSERT_FALSE(generations.empty());
+    EXPECT_EQ(generations.front(), 0u);
+    EXPECT_EQ(generations.back(), reference.size() - 1);
+    if (spec.optimizer.kind == OptimizerKind::kMosa) {
+      // Most MOSA iterations leave the archive as it was.
+      EXPECT_LT(generations.size(), reference.size() / 4) << "not decimated";
+    }
+
+    for (std::size_t i = 0; i < generations.size(); ++i) {
+      ASSERT_LT(generations[i], reference.size());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(recorded[i]),
+                std::bit_cast<std::uint64_t>(reference[generations[i]]))
+          << "generation " << generations[i];
+      if (i > 0) {
+        EXPECT_GT(generations[i], generations[i - 1]);
+        EXPECT_LE(generations[i] - generations[i - 1], kMaxRecordGap);
+      }
+    }
+    for (std::size_t g = 1; g < reference.size(); ++g) {
+      if (reference[g] != reference[g - 1]) {
+        EXPECT_TRUE(std::binary_search(generations.begin(), generations.end(),
+                                       g))
+            << "hypervolume change at generation " << g << " not recorded";
+      }
+    }
+
+    const double final_hv = reference.back();
+    ASSERT_GT(final_hv, 0.0);
+    for (const double frac : {0.50, 0.90, 0.99}) {
+      const auto first_reaching = [&](const std::vector<double>& hv) {
+        return static_cast<std::size_t>(
+            std::find_if(hv.begin(), hv.end(),
+                         [&](double v) { return v >= frac * final_hv; }) -
+            hv.begin());
+      };
+      const std::size_t want = first_reaching(reference);
+      const std::size_t got = first_reaching(recorded);
+      ASSERT_LT(got, generations.size()) << frac;
+      EXPECT_EQ(generations[got], want) << frac;
+    }
+  }
 }
 
 TEST_F(CampaignTest, ProgressTelemetryNeverPerturbsArchives) {
@@ -578,6 +674,34 @@ TEST_F(CampaignTest, EventRingCapturesLifecycleAndGenerations) {
       }
     }
   }
+}
+
+// One default-budget MOSA scenario calls its progress sink 4001 times; the
+// generation events it publishes must leave a 1024-slot job ring room for
+// the scenario's lifecycle events.
+TEST_F(CampaignTest, LifecycleEventsSurviveADefaultBudgetMosaScenario) {
+  util::events::EventRing ring(1024);
+  CampaignOptions o = options(dir("a"));
+  o.quick = false;
+  o.events = &ring;
+  run_campaign({preset("relaxed_quality_mosa_6")}, o);
+
+  std::vector<util::events::Event> events;
+  std::uint64_t dropped = 1;
+  ring.read_since(0, events, &dropped);
+  EXPECT_EQ(dropped, 0u);
+  std::size_t started = 0, finished = 0, generations = 0;
+  for (const auto& event : events) {
+    switch (event.kind) {
+      case util::events::Kind::kScenarioStarted: ++started; break;
+      case util::events::Kind::kScenarioFinished: ++finished; break;
+      case util::events::Kind::kGeneration: ++generations; break;
+      default: break;
+    }
+  }
+  EXPECT_EQ(started, 1u);
+  EXPECT_EQ(finished, 1u);
+  EXPECT_GT(generations, 1u);
 }
 
 // Trace spans must nest correctly even when two scenarios run concurrently:

@@ -422,6 +422,11 @@ TEST_F(SchedulerTest, DeadlineExceededFailsTheJob) {
   JobScheduler scheduler(o);
   JobSpec spec =
       validation_job("rushed", {"hospital_ward_2", "hospital_ward_3"});
+  // Slow by construction, however warm the process is: ten simulated hours
+  // per unit are ~0.1 s of packet simulation (about 13 ms per simulated
+  // hour for these wards on a 4-core x86 box), so the deadline cannot be
+  // beaten by a warm PRD calibration.
+  spec.validation.duration_s = 36000.0;
   spec.deadline_s = 0.01;  // far below one unit's runtime
   ASSERT_EQ(scheduler.submit(spec).code,
             JobScheduler::Admission::Code::kAccepted);

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace wsnex::util {
 namespace {
@@ -168,6 +174,67 @@ TEST(Json, SetReplacesExistingKey) {
   obj.set("k", 2);
   ASSERT_EQ(obj.as_object().size(), 1u);
   EXPECT_EQ(obj.at("k").as_int64(), 2);
+}
+
+/// The formatter's former implementation, kept as the reference: printf's
+/// %.15g/%.16g/%.17g, first one strtod reads back exactly.
+std::string reference_shortest(double value) {
+  char buf[32];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+TEST(Json, FormatDoubleShortestMatchesPrintfReference) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  constexpr double kMinSubnormal = std::numeric_limits<double>::denorm_min();
+  std::vector<double> corpus = {0.0,          -0.0,
+                                kMax,         -kMax,
+                                kMinNormal,   -kMinNormal,
+                                kMinSubnormal, -kMinSubnormal,
+                                0.1 + 0.2,    1.0 / 3.0,
+                                2.0 / 3.0,    0.1 + 0.7,
+                                1e5,          1e20,
+                                123456789012345678.0,
+                                std::nextafter(1.0, 2.0),
+                                std::nextafter(kMinNormal, 0.0)};
+  for (int e = -5; e <= 20; ++e) {
+    const double p = std::pow(10.0, e);
+    corpus.insert(corpus.end(), {p, -p, std::nextafter(p, 0.0),
+                                 std::nextafter(p, kMax)});
+  }
+  std::mt19937_64 rng(20120603);
+  // Subnormals: random mantissas under a zero exponent.
+  for (int i = 0; i < 20000; ++i) {
+    corpus.push_back(std::bit_cast<double>(rng() & ((1ULL << 52) - 1)));
+  }
+  // Arbitrary bit patterns (every exponent, both signs) and the decimal
+  // sums that motivate the shortest form.
+  for (int i = 0; i < 200000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) corpus.push_back(v);
+  }
+  std::uniform_int_distribution<int> cents(0, 100000);
+  for (int i = 0; i < 20000; ++i) {
+    corpus.push_back(cents(rng) / 100.0 + cents(rng) / 1000.0);
+  }
+
+  std::size_t mismatches = 0;
+  for (const double v : corpus) {
+    const std::string got = format_double_shortest(v);
+    const std::string want = reference_shortest(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << std::bit_cast<std::uint64_t>(v) << ": got " << got
+                    << ", reference " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << corpus.size() << " values";
+  EXPECT_EQ(format_double_shortest(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(format_double_shortest(-0.0), "-0");
+  EXPECT_EQ(format_double_shortest(1e20), "1e+20");
 }
 
 }  // namespace

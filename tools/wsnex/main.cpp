@@ -142,9 +142,13 @@ int usage(std::FILE* to) {
                "scenario's\n"
                "                    progress.jsonl (final HV, time to "
                "50/90/99%% of it)\n"
-               "      --no-progress run/resume: skip the per-generation "
-               "progress.jsonl\n"
-               "                    telemetry (archives are byte-identical "
+               "      --no-progress run/resume: skip the progress.jsonl "
+               "telemetry (a record at\n"
+               "                    generation 0, the final one, every "
+               "archive change and at\n"
+               "                    least every 64 generations; buffered, "
+               "flushed every 100 ms\n"
+               "                    of run time; archives are byte-identical "
                "either way)\n"
                "      --deadline S  submit: wall-clock budget for the job; "
                "past it the daemon's\n"
