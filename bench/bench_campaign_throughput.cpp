@@ -6,7 +6,9 @@
 //
 //   * calibration: the process cold start (real DWT/CS encode + FISTA
 //     decode sweeps behind dsp::default_prd_curves()), cold vs. loaded
-//     from the on-disk warm cache (`--cache-dir`),
+//     from the on-disk warm cache (`--cache-dir`), and cold vs. the same
+//     grid points calibrated one at a time inline (the grid fan-out's
+//     parallel speedup, which CI gates),
 //   * memo build: constructing the 11 presets' memoized objectives with
 //     per-scenario (fresh) tables vs. the process-wide SharedEvalCache,
 //   * campaign: end-to-end run_campaign() over every built-in preset,
@@ -109,15 +111,28 @@ int run_bench(const std::string& path, bool quick) {
     (void)dsp::calibrate_dwt();
     (void)dsp::calibrate_cs();
   });
+  // The same grid point by point: a one-point grid runs inline, so the
+  // sum is the serial cost the grid fan-out hides. CI gates the ratio.
+  const double serial_points_s = best_of(reps, [] {
+    for (const double cr : dsp::PrdCalibrationConfig{}.cr_grid) {
+      dsp::PrdCalibrationConfig one;
+      one.cr_grid = {cr};
+      (void)dsp::calibrate_dwt({}, one);
+      (void)dsp::calibrate_cs({}, one);
+    }
+  });
+  const double parallel_speedup = serial_points_s / calibration_cold_s;
   const fs::path cache_dir = scratch_root / "prd_cache";
   // First call populates the cache file (untimed), later ones load it.
   (void)dsp::load_or_calibrate_default_prd_curves(cache_dir.string());
   const double calibration_warm_s = best_of(reps, [&] {
     (void)dsp::load_or_calibrate_default_prd_curves(cache_dir.string());
   });
-  std::fprintf(stderr, "calibration: cold %.3f s, warm %.3f s (%.1fx)\n",
-               calibration_cold_s, calibration_warm_s,
-               calibration_cold_s / calibration_warm_s);
+  std::fprintf(stderr,
+               "calibration: cold %.3f s (points serially %.3f s, %.2fx), "
+               "warm %.3f s (%.1fx)\n",
+               calibration_cold_s, serial_points_s, parallel_speedup,
+               calibration_warm_s, calibration_cold_s / calibration_warm_s);
 
   // --- Memo build: fresh per-scenario tables vs. the shared cache. ----
   // (Forces the process-level calibration first so neither side pays it.)
@@ -186,9 +201,11 @@ int run_bench(const std::string& path, bool quick) {
                reps, presets.size(), quick ? "quick" : "full");
   std::fprintf(out, "  \"scenarios\": %zu,\n", presets.size());
   std::fprintf(out, "  \"calibration\": {\"cold_s\": %.6f, \"warm_s\": %.6f, "
-                    "\"warm_speedup\": %.2f},\n",
+                    "\"warm_speedup\": %.2f, \"serial_points_s\": %.6f, "
+                    "\"parallel_speedup\": %.2f},\n",
                calibration_cold_s, calibration_warm_s,
-               calibration_cold_s / calibration_warm_s);
+               calibration_cold_s / calibration_warm_s, serial_points_s,
+               parallel_speedup);
   std::fprintf(out, "  \"memo_build\": {\"fresh_s\": %.6f, \"shared_s\": "
                     "%.6f},\n",
                memo_fresh_s, memo_shared_s);

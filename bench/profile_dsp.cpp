@@ -128,6 +128,8 @@ int main(int argc, char** argv) {
   const double rt_cr = 0.29;
 
   std::vector<Timed> workloads;
+  // calibrate_* fan their grid points out over the hardware threads, so
+  // these rows time the parallel calibration, fan-out included.
   workloads.push_back(
       {"calibration_cs", "calibrate_cs (fresh codec per rep)", false, [&] {
          dsp::CsCodecConfig cs;

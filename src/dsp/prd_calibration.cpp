@@ -1,5 +1,6 @@
 #include "dsp/prd_calibration.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "util/metrics.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace wsnex::dsp {
@@ -55,19 +57,34 @@ std::vector<std::vector<double>> make_windows(std::size_t count,
 
 /// `round_trip_batch(windows, cr)` reconstructs every window at one CR —
 /// codecs with a batch path amortize the per-CR dictionary and decoder
-/// scratch across all windows of the grid point.
+/// scratch across all windows of the grid point. It is called
+/// concurrently for different CRs (one pool task per grid point; see
+/// util/thread_pool.hpp for why the pool is transient). Each task writes
+/// its own measurement slot and the fit runs afterwards in grid order, so
+/// the curve does not depend on the schedule.
 template <typename RoundTripBatch>
-PrdCurve calibrate_impl(std::size_t window, const PrdCalibrationConfig& calib,
+PrdCurve calibrate_impl(const char* codec_name, std::size_t window,
+                        const PrdCalibrationConfig& calib,
                         RoundTripBatch&& round_trip_batch) {
   assert(!calib.cr_grid.empty());
   assert(calib.windows_per_point > 0);
   const auto windows =
       make_windows(calib.windows_per_point, window, calib.ecg_seed);
+  const std::vector<double>& grid = calib.cr_grid;
 
   PrdCurve curve;
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (double cr : calib.cr_grid) {
+  curve.measurements.resize(grid.size());
+  util::ThreadPool pool(
+      std::min(grid.size(), util::ThreadPool::resolve_threads(0)));
+  // Highest CR first: on the ascending default grid those points build
+  // the largest dictionaries and take longest, so starting them early
+  // shortens the critical path.
+  pool.run_tasks(grid.size(), [&](std::size_t task) {
+    const std::size_t i = grid.size() - 1 - task;
+    const double cr = grid[i];
+    util::trace::Span span("prd",
+                           std::string(codec_name) + '@' +
+                               util::format_double_shortest(cr));
     util::RunningStats stats;
     const std::vector<std::vector<double>> recovered =
         round_trip_batch(windows, cr);
@@ -75,18 +92,21 @@ PrdCurve calibrate_impl(std::size_t window, const PrdCalibrationConfig& calib,
     for (std::size_t w = 0; w < windows.size(); ++w) {
       stats.add(prd_percent(windows[w], recovered[w]));
     }
-    PrdMeasurement point;
+    PrdMeasurement& point = curve.measurements[i];
     point.cr = cr;
     point.prd_percent = stats.mean();
     point.prd_stddev = stats.stddev();
-    curve.measurements.push_back(point);
-    xs.push_back(cr);
-    ys.push_back(point.prd_percent);
+  });
+
+  std::vector<double> ys;
+  ys.reserve(grid.size());
+  for (const PrdMeasurement& m : curve.measurements) {
+    ys.push_back(m.prd_percent);
   }
   const unsigned degree =
-      std::min<std::size_t>(calib.fit_degree, xs.size() - 1);
-  curve.fitted = util::fit_polynomial(xs, ys, degree);
-  curve.fit_r_squared = util::r_squared(curve.fitted, xs, ys);
+      std::min<std::size_t>(calib.fit_degree, grid.size() - 1);
+  curve.fitted = util::fit_polynomial(grid, ys, degree);
+  curve.fit_r_squared = util::r_squared(curve.fitted, grid, ys);
   return curve;
 }
 
@@ -96,7 +116,7 @@ PrdCurve calibrate_dwt(const DwtCodecConfig& codec,
                        const PrdCalibrationConfig& calib) {
   const DwtCodec dwt(codec);
   return calibrate_impl(
-      codec.window, calib,
+      "dwt", codec.window, calib,
       [&](const std::vector<std::vector<double>>& windows, double cr) {
         std::vector<std::vector<double>> out;
         out.reserve(windows.size());
@@ -109,7 +129,7 @@ PrdCurve calibrate_cs(const CsCodecConfig& codec,
                       const PrdCalibrationConfig& calib) {
   const CsCodec cs(codec);
   return calibrate_impl(
-      codec.window, calib,
+      "cs", codec.window, calib,
       [&](const std::vector<std::vector<double>>& windows, double cr) {
         return cs.round_trip_windows(windows, cr);
       });

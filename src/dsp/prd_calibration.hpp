@@ -43,11 +43,18 @@ struct PrdCurve {
   double fit_r_squared = 0.0;
 };
 
-/// Measures the DWT codec's PRD-vs-CR curve and fits it.
+/// Measures the DWT codec's PRD-vs-CR curve and fits it. The grid points
+/// run concurrently, one task each on a pool of min(grid points, hardware
+/// threads) that lives for the call; every point writes its own slot and
+/// the fit runs in grid order afterwards, so the result is bit-identical
+/// for any schedule (a one-point grid runs inline). Safe to call from a
+/// task running on another ThreadPool.
 PrdCurve calibrate_dwt(const DwtCodecConfig& codec = {},
                        const PrdCalibrationConfig& calib = {});
 
-/// Measures the CS codec's PRD-vs-CR curve and fits it.
+/// Measures the CS codec's PRD-vs-CR curve and fits it, with the same
+/// concurrent, schedule-independent grid fan-out as calibrate_dwt (the
+/// codec's per-CR dictionaries are built concurrently, one per point).
 PrdCurve calibrate_cs(const CsCodecConfig& codec = {},
                       const PrdCalibrationConfig& calib = {});
 

@@ -1,9 +1,13 @@
 // Fixed-size cooperative thread pool for deterministic fan-out.
 //
 // Parallelism in wsnex lives at one level: across independent work —
-// campaign scenarios (`--jobs`), validation replicates and serve slots.
-// Nothing inside one optimizer run is parallel; a design point costs
-// about a microsecond, so there is nothing to amortize there.
+// campaign scenarios (`--jobs`), validation replicates, serve slots and
+// the PRD calibration grid points. Nothing inside one optimizer run is
+// parallel; a design point costs about a microsecond, so there is nothing
+// to amortize there. Calibration uses a transient pool of its own: it
+// runs once per process, lazily under the default-curves mutex, where
+// any other caller waits blocked (not spinning), so a pool that lives for
+// the call costs a few thread starts and borrows no caller's workers.
 //
 // Two fan-out primitives share one worker set and one FIFO work queue:
 //

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <vector>
+
+#include "util/polynomial.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wsnex::dsp {
 namespace {
@@ -87,6 +92,59 @@ void expect_same_curve(const PrdCurve& a, const PrdCurve& b) {
     EXPECT_EQ(ca[i], cb[i]) << "coefficient " << i;
   }
   EXPECT_EQ(a.fit_r_squared, b.fit_r_squared);
+}
+
+/// The serial reference for a grid: one single-point calibration per CR.
+/// A one-point grid runs on a width-1 pool, i.e. inline on this thread.
+/// The fit is redone over those points in grid order.
+template <typename Calibrate>
+PrdCurve pointwise_reference(const PrdCalibrationConfig& calib,
+                             Calibrate&& calibrate) {
+  PrdCurve curve;
+  std::vector<double> ys;
+  for (const double cr : calib.cr_grid) {
+    PrdCalibrationConfig one = calib;
+    one.cr_grid = {cr};
+    const PrdCurve point = calibrate(one);
+    EXPECT_EQ(point.measurements.size(), 1u);
+    curve.measurements.push_back(point.measurements.front());
+    ys.push_back(point.measurements.front().prd_percent);
+  }
+  const unsigned degree = static_cast<unsigned>(
+      std::min<std::size_t>(calib.fit_degree, calib.cr_grid.size() - 1));
+  curve.fitted = util::fit_polynomial(calib.cr_grid, ys, degree);
+  curve.fit_r_squared = util::r_squared(curve.fitted, calib.cr_grid, ys);
+  return curve;
+}
+
+TEST(PrdCalibration, GridFanOutMatchesPointwiseSerialCalibration) {
+  const PrdCalibrationConfig calib;  // the default grid the model uses
+  expect_same_curve(calibrate_cs(), pointwise_reference(calib, [](auto& c) {
+                      return calibrate_cs({}, c);
+                    }));
+  expect_same_curve(calibrate_dwt(), pointwise_reference(calib, [](auto& c) {
+                      return calibrate_dwt({}, c);
+                    }));
+}
+
+TEST(PrdCalibration, CalibrationInsidePoolTaskMatchesTopLevel) {
+  // The lazy path of a `--jobs 4` campaign: the first scenario task to
+  // need the curves calibrates from inside a run_tasks task, on a pool of
+  // its own nested in the campaign's.
+  const PrdCurve cs = calibrate_cs();
+  const PrdCurve dwt = calibrate_dwt();
+  util::ThreadPool campaign_pool(4);
+  std::vector<PrdCurve> nested_cs(4);
+  std::vector<PrdCurve> nested_dwt(4);
+  campaign_pool.run_tasks(4, [&](std::size_t task) {
+    nested_cs[task] = calibrate_cs();
+    nested_dwt[task] = calibrate_dwt();
+  });
+  for (std::size_t task = 0; task < 4; ++task) {
+    SCOPED_TRACE(task);
+    expect_same_curve(cs, nested_cs[task]);
+    expect_same_curve(dwt, nested_dwt[task]);
+  }
 }
 
 class WarmCacheTest : public ::testing::Test {
