@@ -61,6 +61,16 @@ int main(int argc, char** argv) {
   util::Table table({"clients", "cache", "jobs", "wall [s]", "jobs/s",
                      "p50 [ms]", "p99 [ms]"});
   util::Json out = util::Json::object();
+  out.set("bench", "serve_throughput");
+  out.set("unit", "seconds of wall clock (wall_s), jobs per second, "
+                  "submit-to-complete latency in ms");
+  out.set("method",
+          std::string("one fresh 2-slot scheduler + loopback HTTP server per "
+                      "(clients, cache) row; each client submits its quick "
+                      "hospital_ward_2 campaign jobs one at a time and polls "
+                      "every 5 ms until complete; cold clears the shared "
+                      "evaluation cache first, warm inherits it; timed once; ") +
+              (quick ? "--quick" : "full") + " sizes");
   out.set("provenance", bench::provenance());
   out.set("quick", quick);
   out.set("jobs_per_client", jobs_per_client);

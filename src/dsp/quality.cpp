@@ -11,9 +11,8 @@
 namespace wsnex::dsp {
 namespace {
 
-// The energy reductions run through the gated SIMD layer: scalar
-// left-to-right accumulation by default, lane-parallel only when
-// WSNEX_SIMD_REASSOC opts into reassociation (see util/simd.hpp).
+// The energy reductions run through the SIMD layer's reductions, which are
+// scalar left-to-right loops and exact on every ISA (see util/simd.hpp).
 
 double sum_sq(std::span<const double> xs) { return util::simd::sum_sq(xs); }
 

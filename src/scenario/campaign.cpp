@@ -22,7 +22,6 @@
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -138,11 +137,6 @@ util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
   summary.set("front_size", run.result.archive.size());
   summary.set("feasible_size", feasible.size());
   summary.set("wallclock_s", run.result.wallclock_s);
-  // Archive provenance: reassociated reductions shift objectives by a few
-  // ULP, so byte-level comparisons are only meaningful between runs with
-  // the same gate state (the manifest refuses mixed-mode resumes; this
-  // records the state next to the numbers it shaped).
-  summary.set("simd_reassociation", util::simd::reassociation_enabled());
   // Performance provenance: where this scenario's wall clock went.
   // Out-of-band by construction — nothing downstream reads it back.
   util::Json perf_json = util::Json::object();
@@ -588,18 +582,6 @@ CampaignReport resume_campaign(
   ResultStore store(out_dir);
   store.sweep_stale_temp_files();
   const CampaignManifest manifest = store.load_manifest();
-  if (manifest.simd_reassociation != util::simd::reassociation_enabled()) {
-    // A resume re-runs only the pending scenarios; under a different gate
-    // state the fresh archives would differ by ULPs from the completed
-    // ones and the store's uninterrupted-vs-resumed byte identity would
-    // silently break.
-    throw ScenarioError(
-        out_dir + ": campaign ran with SIMD reassociation " +
-        (manifest.simd_reassociation ? "on" : "off") +
-        " but this process has it " +
-        (util::simd::reassociation_enabled() ? "on" : "off") +
-        "; resume with matching WSNEX_SIMD_REASSOC");
-  }
   std::vector<ScenarioSpec> specs;
   specs.reserve(manifest.scenarios.size());
   for (const ScenarioStatus& status : manifest.scenarios) {

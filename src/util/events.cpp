@@ -103,15 +103,30 @@ std::uint64_t EventRing::publish(Event event) {
   std::memcpy(raw, &event, sizeof(Event));
 
   const std::size_t slot = (seq - 1) & mask_;
-  // Seqlock write: odd stamp, release fence, payload words, even stamp.
-  // The release fence guarantees that a reader who observes any payload word
-  // from this publish also observes the odd stamp on its recheck.
-  word(slot, 0).store(2 * seq - 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::size_t i = 0; i < kPayloadWords; ++i) {
-    word(slot, 1 + i).store(raw[i], std::memory_order_relaxed);
+  // Claim the slot by moving its stamp from an older even value to our odd
+  // one. Sequences a ring capacity apart share a slot, so a writer that
+  // laps a slow one finds it mid-write (odd stamp) or already overwritten
+  // (newer stamp); it then drops its own event, which readers count as
+  // dropped, instead of interleaving payload words with the other writer.
+  // The acquire orders our payload stores after the previous occupant's.
+  const std::atomic_ref<std::uint64_t> stamp = word(slot, 0);
+  std::uint64_t current = stamp.load(std::memory_order_relaxed);
+  bool claimed = false;
+  while (!claimed && current % 2 == 0 && current < 2 * seq) {
+    claimed = stamp.compare_exchange_weak(current, 2 * seq - 1,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed);
   }
-  word(slot, 0).store(2 * seq, std::memory_order_release);
+  if (claimed) {
+    // Seqlock write: odd stamp (above), payload words, even stamp. Each
+    // payload word is a release store, so a reader whose acquire load
+    // observes any payload word from this publish also observes the odd
+    // stamp on its recheck.
+    for (std::size_t i = 0; i < kPayloadWords; ++i) {
+      word(slot, 1 + i).store(raw[i], std::memory_order_release);
+    }
+    stamp.store(2 * seq, std::memory_order_release);
+  }
 
   if (waiters_.load(std::memory_order_relaxed) > 0) {
     std::lock_guard<std::mutex> guard(wait_mutex_);
@@ -143,11 +158,12 @@ std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out
       if (dropped != nullptr) ++*dropped;
       continue;
     }
+    // Acquire payload loads keep the stamp recheck after them and pair with
+    // the writer's release payload stores (see publish).
     std::uint64_t raw[kPayloadWords];
     for (std::size_t i = 0; i < kPayloadWords; ++i) {
-      raw[i] = word(slot, 1 + i).load(std::memory_order_relaxed);
+      raw[i] = word(slot, 1 + i).load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint64_t s2 = word(slot, 0).load(std::memory_order_relaxed);
     if (s2 != 2 * seq) {
       if (dropped != nullptr) ++*dropped;

@@ -12,9 +12,13 @@
 /// optimization hot path.
 ///
 /// Concurrency: each slot is guarded by a seqlock-style version stamp and the
-/// payload is stored as relaxed atomic words, so concurrent publish/read is
-/// free of data races (sanitizer-clean) without any mutex on the publish path.
-/// Publishing is wait-free apart from a best-effort waiter notification.
+/// payload is stored as release/acquire atomic words (plain moves on x86, no
+/// standalone fences), so concurrent publish/read is free of data races and
+/// checkable by ThreadSanitizer, without any mutex on the publish path. A
+/// writer claims its slot with one CAS on the stamp; a writer that laps a
+/// slot still being written drops its event rather than wait. Publishing
+/// never waits on readers or other writers, apart from a best-effort waiter
+/// notification.
 
 #include <atomic>
 #include <chrono>
@@ -98,8 +102,9 @@ class EventRing {
   /// Appends to `out` every retained event with sequence > `since`, in
   /// ascending sequence order. `*dropped` (when provided) is set to the
   /// number of events this call skipped because they were overwritten by
-  /// ring wrap or torn by a concurrent writer. Returns the new cursor: the
-  /// highest sequence observed, or `since` if nothing newer exists.
+  /// ring wrap, dropped by a writer that lapped a slot mid-write, or torn
+  /// by a concurrent writer. Returns the new cursor: the highest sequence
+  /// observed, or `since` if nothing newer exists.
   std::uint64_t read_since(std::uint64_t since, std::vector<Event>& out,
                            std::uint64_t* dropped = nullptr) const;
 

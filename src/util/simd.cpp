@@ -13,9 +13,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These are the arithmetic specification: every
-// other ISA's table must match them bit-for-bit (order-preserving set) or
-// within documented ULP drift (reductions). The blocked shapes are the
-// PR 4 kernels moved here verbatim.
+// other ISA's table must match them bit-for-bit. The reductions (dot,
+// sum_sq, sum_sq_diff) have no other implementation; the public wrappers
+// call them directly on every ISA.
 //
 // This TU (and the per-ISA TUs) is compiled with -ffp-contract=off — see
 // src/util/CMakeLists.txt. Without it, compilers that contract by default
@@ -176,9 +176,6 @@ const Ops& scalar_ops() {
       &scalar_max_abs,
       &scalar_dwt_analyze,
       &scalar_dwt_synthesize,
-      &scalar_dot,
-      &scalar_sum_sq,
-      &scalar_sum_sq_diff,
   };
   return ops;
 }
@@ -231,11 +228,6 @@ const detail::Ops& ops() {
   return *dispatch().ops.load(std::memory_order_relaxed);
 }
 
-std::atomic<bool>& reassoc_flag() {
-  static std::atomic<bool> flag{env_flag("WSNEX_SIMD_REASSOC")};
-  return flag;
-}
-
 }  // namespace
 
 const char* isa_name(Isa isa) {
@@ -273,14 +265,6 @@ bool set_active_isa(Isa isa) {
   dispatch().isa.store(isa, std::memory_order_relaxed);
   dispatch().ops.store(table, std::memory_order_relaxed);
   return true;
-}
-
-bool reassociation_enabled() {
-  return reassoc_flag().load(std::memory_order_relaxed);
-}
-
-void set_reassociation(bool enabled) {
-  reassoc_flag().store(enabled, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,23 +392,16 @@ void dwt_synthesize(std::span<const double> approx,
 
 double dot(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
-  if (!reassociation_enabled()) {
-    return scalar_dot(a.data(), b.data(), a.size());
-  }
-  return ops().dot(a.data(), b.data(), a.size());
+  return scalar_dot(a.data(), b.data(), a.size());
 }
 
 double sum_sq(std::span<const double> x) {
-  if (!reassociation_enabled()) return scalar_sum_sq(x.data(), x.size());
-  return ops().sum_sq(x.data(), x.size());
+  return scalar_sum_sq(x.data(), x.size());
 }
 
 double sum_sq_diff(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
-  if (!reassociation_enabled()) {
-    return scalar_sum_sq_diff(a.data(), b.data(), a.size());
-  }
-  return ops().sum_sq_diff(a.data(), b.data(), a.size());
+  return scalar_sum_sq_diff(a.data(), b.data(), a.size());
 }
 
 }  // namespace wsnex::util::simd

@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/polynomial.hpp"
 #include "util/thread_pool.hpp"
 
@@ -147,6 +149,12 @@ TEST(PrdCalibration, CalibrationInsidePoolTaskMatchesTopLevel) {
   }
 }
 
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 class WarmCacheTest : public ::testing::Test {
  protected:
   fs::path dir_ =
@@ -199,36 +207,39 @@ TEST_F(WarmCacheTest, CorruptCacheIsRecalibratedOver) {
 }
 
 TEST_F(WarmCacheTest, KeyMismatchIsRecalibrated) {
-  (void)load_or_calibrate_default_prd_curves(dir_.string());
-  // Simulate a cache written by a different configuration by perturbing
-  // the embedded key.
+  const DefaultPrdCurves cold =
+      load_or_calibrate_default_prd_curves(dir_.string());
   const fs::path file = dir_ / "prd_calibration.json";
-  std::string text;
-  {
-    std::ifstream in(file, std::ios::binary);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  const std::string fresh = read_text(file);
+
+  // A cache written by a different configuration (perturbed key)...
+  std::string other_seed = fresh;
   const std::string needle = "\"ecg_seed\": 42";
-  const auto pos = text.find(needle);
+  const auto pos = other_seed.find(needle);
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, needle.size(), "\"ecg_seed\": 43");
-  {
-    std::ofstream out(file, std::ios::binary | std::ios::trunc);
-    out << text;
+  other_seed.replace(pos, needle.size(), "\"ecg_seed\": 43");
+  // ...and one from an older build, whose key also carried
+  // "simd_reassociation": false.
+  util::Json legacy = util::Json::parse(fresh);
+  util::Json legacy_key = legacy.at("key");
+  legacy_key.set("simd_reassociation", false);
+  legacy.set("key", std::move(legacy_key));
+
+  for (const std::string& stale : {other_seed, legacy.dump(2)}) {
+    {
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      out << stale;
+    }
+    const DefaultPrdCurves recalibrated =
+        load_or_calibrate_default_prd_curves(dir_.string());
+    expect_same_curve(cold.dwt, recalibrated.dwt);
+    expect_same_curve(cold.cs, recalibrated.cs);
+    // The mismatched file must have been recalibrated over: the rewritten
+    // cache is the fresh one again (mtime comparisons would be flaky on
+    // coarse-granularity filesystems, so check the contents).
+    EXPECT_EQ(read_text(file), fresh)
+        << "mismatched key must be recalibrated and rewritten";
   }
-  (void)load_or_calibrate_default_prd_curves(dir_.string());
-  // The mismatched file must have been recalibrated over: the rewritten
-  // cache carries the real key again (mtime comparisons would be flaky
-  // on coarse-granularity filesystems, so check the contents).
-  std::string rewritten;
-  {
-    std::ifstream in(file, std::ios::binary);
-    rewritten.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-  }
-  EXPECT_NE(rewritten.find(needle), std::string::npos)
-      << "mismatched key must be recalibrated and rewritten";
 }
 
 TEST(PrdCalibration, MeasurementSpreadReported) {

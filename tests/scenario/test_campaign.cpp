@@ -19,7 +19,6 @@
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/json.hpp"
-#include "util/simd.hpp"
 #include "util/trace.hpp"
 
 namespace wsnex::scenario {
@@ -99,6 +98,15 @@ TEST_F(CampaignTest, RunProducesStoreLayoutAndReport) {
   }
 }
 
+// Manifests written before the reductions became unconditionally scalar
+// carry "simd_reassociation". Sets it in an existing store's manifest.
+void set_legacy_manifest_field(const std::string& root, bool value) {
+  const std::string path = ResultStore(root).manifest_path();
+  util::Json manifest = util::Json::parse(read_file(path));
+  manifest.set("simd_reassociation", value);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << manifest.dump(2);
+}
+
 TEST_F(CampaignTest, AbortAfterCheckpointsAndResumeIsBitIdentical) {
   const auto specs = small_campaign();
 
@@ -117,6 +125,9 @@ TEST_F(CampaignTest, AbortAfterCheckpointsAndResumeIsBitIdentical) {
     EXPECT_FALSE(manifest.scenarios[1].complete);
     EXPECT_FALSE(manifest.scenarios[2].complete);
   }
+  // Stores written by older builds carry "simd_reassociation": false;
+  // they resume like current ones.
+  set_legacy_manifest_field(dir("int"), false);
 
   // ... then resume from the store alone (no original specs needed).
   const CampaignReport resumed = resume_campaign(dir("int"));
@@ -134,6 +145,10 @@ TEST_F(CampaignTest, AbortAfterCheckpointsAndResumeIsBitIdentical) {
               read_file(resumed_store.feasible_csv_path(spec.name)))
         << spec.name;
   }
+  // The resume rewrote the manifest in the current format.
+  EXPECT_EQ(util::Json::parse(read_file(resumed_store.manifest_path()))
+                .find("simd_reassociation"),
+            nullptr);
 }
 
 TEST_F(CampaignTest, RerunOnCompleteCampaignSkipsEverything) {
@@ -263,25 +278,22 @@ TEST_F(CampaignTest, MismatchedReuseOfStoreIsRejected) {
   EXPECT_THROW(run_campaign(edited, options(dir("a"))), ScenarioError);
 }
 
-TEST_F(CampaignTest, ReassociationGateMismatchIsRejected) {
+TEST_F(CampaignTest, LegacyReassociatedManifestIsRejected) {
   const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2")};
   run_campaign(specs, options(dir("a")));
+  set_legacy_manifest_field(dir("a"), true);
 
-  // Archives written with the gate closed must not be extended or
-  // resumed with it open: reassociated reductions shift outputs by ULPs
-  // and would break the store's byte-identity guarantees.
-  const bool saved = util::simd::reassociation_enabled();
-  util::simd::set_reassociation(!saved);
-  EXPECT_THROW(run_campaign(specs, options(dir("a"))), ScenarioError);
-  EXPECT_THROW(resume_campaign(dir("a")), ScenarioError);
-  util::simd::set_reassociation(saved);
-
-  // With the original gate state restored the rerun is a clean skip.
-  const CampaignReport again = run_campaign(specs, options(dir("a")));
-  EXPECT_EQ(again.skipped, 1u);
-
-  // The manifest records the state it ran under.
-  EXPECT_EQ(ResultStore(dir("a")).load_manifest().simd_reassociation, saved);
+  const auto expect_rejected = [&](const auto& body) {
+    try {
+      body();
+      ADD_FAILURE() << "expected ScenarioError";
+    } catch (const ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find(dir("a")), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected([&] { run_campaign(specs, options(dir("a"))); });
+  expect_rejected([&] { resume_campaign(dir("a")); });
 }
 
 TEST_F(CampaignTest, RejectsEmptyAndDuplicateCampaigns) {

@@ -204,9 +204,9 @@ std::string apps_summary(const scenario::ScenarioSpec& spec) {
 #endif
 
 /// Build + SIMD dispatch report: which ISA the kernel layer detected and
-/// which it actually runs on (they differ under WSNEX_FORCE_SCALAR), plus
-/// the reassociating-reduction gate state — the knobs that decide whether
-/// two runs of the same spec are byte-identical.
+/// which it actually runs on (they differ under WSNEX_FORCE_SCALAR). Every
+/// kernel, the scalar reductions included, is exact on every ISA, so two
+/// runs of the same spec are byte-identical whichever ISA is reported.
 int cmd_version(const std::vector<std::string>& args) {
   namespace simd = util::simd;
   const bool as_json =
@@ -218,17 +218,15 @@ int cmd_version(const std::vector<std::string>& args) {
     dispatch.set("detected_isa", simd::isa_name(simd::detected_isa()));
     dispatch.set("active_isa", simd::isa_name(simd::active_isa()));
     dispatch.set("forced_scalar_env", simd::scalar_forced_by_env());
-    dispatch.set("reassociation", simd::reassociation_enabled());
     out.set("simd", std::move(dispatch));
     std::printf("%s\n", out.dump(2).c_str());
     return 0;
   }
   std::printf("wsnex %s\n", WSNEX_VERSION);
-  std::printf("simd: %s dispatched (detected %s%s), reassociation %s\n",
+  std::printf("simd: %s dispatched (detected %s%s)\n",
               simd::isa_name(simd::active_isa()),
               simd::isa_name(simd::detected_isa()),
-              simd::scalar_forced_by_env() ? ", WSNEX_FORCE_SCALAR set" : "",
-              simd::reassociation_enabled() ? "on" : "off (bit-identical)");
+              simd::scalar_forced_by_env() ? ", WSNEX_FORCE_SCALAR set" : "");
   return 0;
 }
 
