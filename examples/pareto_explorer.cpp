@@ -10,7 +10,9 @@
 #include <string>
 
 #include "dse/optimizers.hpp"
-#include "util/csv.hpp"
+#include "util/fsio.hpp"
+#include "util/json.hpp"
+#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace wsnex;
@@ -34,22 +36,25 @@ int main(int argc, char** argv) {
                   std::max(result.wallclock_s, 1e-9),
               result.archive.size());
 
+  // Objectives are written with util::format_double_shortest, which
+  // parses back to the identical double.
+  const auto num = [](double v) { return util::format_double_shortest(v); };
   const std::string front_path = prefix + "_front.csv";
-  util::CsvWriter front(front_path);
-  front.write_row({"energy_mj_per_s", "prd_percent", "delay_s", "payload",
-                   "bco", "sfo", "configuration"});
+  std::string front;
+  util::append_csv_row(front, {"energy_mj_per_s", "prd_percent", "delay_s",
+                               "payload", "bco", "sfo", "configuration"});
   for (const auto& e : result.archive.entries()) {
     const auto design = space.decode(e.genome);
-    front.write_row({std::to_string(e.objectives[0]),
-                     std::to_string(e.objectives[1]),
-                     std::to_string(e.objectives[2]),
-                     std::to_string(design.mac.payload_bytes),
-                     std::to_string(design.mac.bco),
-                     std::to_string(design.mac.sfo),
-                     space.describe(e.genome)});
+    util::append_csv_row(front, {num(e.objectives[0]), num(e.objectives[1]),
+                                 num(e.objectives[2]),
+                                 std::to_string(design.mac.payload_bytes),
+                                 std::to_string(design.mac.bco),
+                                 std::to_string(design.mac.sfo),
+                                 space.describe(e.genome)});
   }
+  util::write_file_atomic(front_path, front);
   std::printf("wrote %s (%zu rows)\n", front_path.c_str(),
-              front.rows_written() - 1);
+              result.archive.size());
 
   // The three Fig. 5 panels as separate files for direct plotting.
   const struct {
@@ -64,12 +69,14 @@ int main(int argc, char** argv) {
       {"_prd_delay.csv", 1, 2, "prd_percent", "delay_s"},
   };
   for (const auto& p : panels) {
-    util::CsvWriter csv(prefix + p.suffix);
-    csv.write_row({p.xh, p.yh});
+    std::string csv;
+    util::append_csv_row(csv, {p.xh, p.yh});
     for (const auto& e : result.archive.entries()) {
-      csv.write_numeric_row({e.objectives[static_cast<std::size_t>(p.x)],
-                             e.objectives[static_cast<std::size_t>(p.y)]});
+      util::append_csv_row(
+          csv, {num(e.objectives[static_cast<std::size_t>(p.x)]),
+                num(e.objectives[static_cast<std::size_t>(p.y)])});
     }
+    util::write_file_atomic(prefix + p.suffix, csv);
     std::printf("wrote %s%s\n", prefix.c_str(), p.suffix);
   }
   return 0;

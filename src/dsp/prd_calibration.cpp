@@ -282,27 +282,22 @@ std::optional<DefaultPrdCurves> g_default_curves;   // guarded by the mutex
 }  // namespace
 
 DefaultPrdCurves load_or_calibrate_default_prd_curves(const std::string& dir) {
-  if (dir.empty()) {
-    util::trace::Span span("prd:calibrate");
-    DefaultPrdCurves curves;
-    curves.dwt = calibrate_dwt();
-    curves.cs = calibrate_cs();
-    return curves;
+  std::string path;
+  if (!dir.empty()) {
+    path = (std::filesystem::path(dir) / kPrdCacheFile).string();
+    if (std::optional<DefaultPrdCurves> cached = try_load_cache(path)) {
+      static auto& hits = prd_cache_event("outcome=\"hit\"");
+      hits.inc();
+      return *std::move(cached);
+    }
+    static auto& misses = prd_cache_event("outcome=\"miss\"");
+    misses.inc();
   }
-  const std::string path =
-      (std::filesystem::path(dir) / kPrdCacheFile).string();
-  if (std::optional<DefaultPrdCurves> cached = try_load_cache(path)) {
-    static auto& hits = prd_cache_event("outcome=\"hit\"");
-    hits.inc();
-    return *std::move(cached);
-  }
-  static auto& misses = prd_cache_event("outcome=\"miss\"");
-  misses.inc();
   util::trace::Span span("prd:calibrate");
   DefaultPrdCurves curves;
   curves.dwt = calibrate_dwt();
   curves.cs = calibrate_cs();
-  try_save_cache(dir, path, curves);
+  if (!dir.empty()) try_save_cache(dir, path, curves);
   return curves;
 }
 

@@ -2,26 +2,21 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <mutex>
-
 #include <fstream>
 #include <memory>
+#include <mutex>
 
 #include "dse/objectives.hpp"
 #include "dsp/prd_calibration.hpp"
 #include "model/lifetime.hpp"
 #include "util/build_info.hpp"
-#include "util/csv.hpp"
 #include "util/events.hpp"
-#include "util/failpoint.hpp"
-#include "util/fsio.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
+#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -41,7 +36,7 @@ double now_s() {
 struct ScenarioPerf {
   double evaluate_s = 0.0;  ///< run_scenario (DSE + decode)
   double lifetime_s = 0.0;  ///< feasibility + lifetime recompute
-  double persist_s = 0.0;   ///< archive CSV writes
+  double persist_s = 0.0;   ///< archive CSV formatting and writes
 };
 
 util::metrics::Counter& scenario_counter(const char* labels) {
@@ -102,24 +97,26 @@ double entry_lifetime_days(const model::NetworkModelEvaluator& evaluator,
   return model::network_lifetime_hours(battery, draws) / 24.0;
 }
 
-void write_archive_csv(const std::string& path,
-                       const dse::ParetoArchive& archive,
-                       const std::vector<std::size_t>& rows,
-                       const std::vector<double>& lifetime_days,
-                       const dse::DesignSpace& space) {
-  util::CsvWriter csv(path);
-  csv.write_row({"E_net_mJ_per_s", "PRD_net_percent", "D_net_s",
-                 "lifetime_days", "genome", "config"});
+/// One archive file (pareto.csv or feasible.csv): a header, then the
+/// entries `rows` in that order.
+std::string archive_csv(const dse::ParetoArchive& archive,
+                        const std::vector<std::size_t>& rows,
+                        const std::vector<double>& lifetime_days,
+                        const dse::DesignSpace& space) {
+  std::string csv;
+  util::append_csv_row(csv, {"E_net_mJ_per_s", "PRD_net_percent", "D_net_s",
+                             "lifetime_days", "genome", "config"});
   const auto& entries = archive.entries();
   for (const std::size_t i : rows) {
     const dse::ArchiveEntry& e = entries[i];
-    csv.write_row({util::format_double_shortest(e.objectives[0]),
-                   util::format_double_shortest(e.objectives[1]),
-                   util::format_double_shortest(e.objectives[2]),
-                   util::format_double_shortest(lifetime_days[i]),
-                   genome_field(e.genome), space.describe(e.genome)});
+    util::append_csv_row(csv, {util::format_double_shortest(e.objectives[0]),
+                               util::format_double_shortest(e.objectives[1]),
+                               util::format_double_shortest(e.objectives[2]),
+                               util::format_double_shortest(lifetime_days[i]),
+                               genome_field(e.genome),
+                               space.describe(e.genome)});
   }
-  csv.close();
+  return csv;
 }
 
 util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
@@ -341,21 +338,13 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
   phase_start = now_s();
   {
     util::trace::Span span("persist");
-    store.ensure_result_dir(spec.name);
-    write_archive_csv(store.pareto_csv_path(spec.name), run.result.archive,
-                      canonical_order(run.result.archive), lifetime_days,
-                      run.space);
-    write_archive_csv(store.feasible_csv_path(spec.name), run.result.archive,
-                      feasible, lifetime_days, run.space);
-    // Mid-persist fault site: archives on disk, summary + manifest not yet
-    // written — the scenario stays pending and a resume regenerates the
-    // CSVs bit-identically. Torn counts as an error here (the CSV writer
-    // is not atomic; a partial archive must abort, not "succeed").
-    if (const auto fault = util::failpoint::evaluate("campaign.persist")) {
-      errno = fault.error_errno != 0 ? fault.error_errno : EIO;
-      throw util::FileError(std::string("persist of ") + spec.name +
-                            " failed (injected): " + std::strerror(errno));
-    }
+    store.write_pareto_csv(
+        spec.name, archive_csv(run.result.archive,
+                               canonical_order(run.result.archive),
+                               lifetime_days, run.space));
+    store.write_feasible_csv(
+        spec.name,
+        archive_csv(run.result.archive, feasible, lifetime_days, run.space));
   }
   perf.persist_s = now_s() - phase_start;
   store.write_summary(spec.name,

@@ -252,11 +252,34 @@ void ResultStore::record_complete(const ScenarioStatus& status) {
                       "\" is not part of the campaign at " + root_);
 }
 
+void ResultStore::write_result(const std::string& name,
+                               const std::string& path,
+                               const std::string& contents,
+                               const char* site) const {
+  ensure_result_dir(name);
+  write_file_atomic(path, contents, site);
+}
+
+void ResultStore::write_pareto_csv(const std::string& name,
+                                   const std::string& csv) const {
+  write_result(name, pareto_csv_path(name), csv, "result_store.pareto");
+}
+
+void ResultStore::write_feasible_csv(const std::string& name,
+                                     const std::string& csv) const {
+  write_result(name, feasible_csv_path(name), csv, "result_store.feasible");
+}
+
 void ResultStore::write_validation(const std::string& name,
                                    const util::Json& report) const {
-  ensure_result_dir(name);
-  write_file_atomic(validation_json_path(name), report.dump(2),
-                    "result_store.validation");
+  write_result(name, validation_json_path(name), report.dump(2),
+               "result_store.validation");
+}
+
+void ResultStore::write_validation_csv(const std::string& name,
+                                       const std::string& csv) const {
+  write_result(name, validation_csv_path(name), csv,
+               "result_store.validation_csv");
 }
 
 util::Json ResultStore::load_validation(const std::string& name) const {
@@ -273,9 +296,8 @@ bool ResultStore::has_validation(const std::string& name) const {
 
 void ResultStore::write_summary(const std::string& name,
                                 const util::Json& summary) const {
-  ensure_result_dir(name);
-  write_file_atomic(summary_path(name), summary.dump(2),
-                    "result_store.summary");
+  write_result(name, summary_path(name), summary.dump(2),
+               "result_store.summary");
 }
 
 util::Json ResultStore::load_summary(const std::string& name) const {

@@ -11,12 +11,18 @@
 //                                       constraints, best energy first
 //   <root>/results/<name>/summary.json  run statistics
 //
-// Crash-safety protocol: a scenario's result files are written first, the
-// manifest is rewritten (atomically, via temp file + rename) marking it
-// "complete" last. A campaign killed mid-scenario therefore leaves that
-// scenario "pending"; resume re-runs it from scratch and — because the
-// engine is deterministic for a fixed (spec, seed) and thread-count
-// independent — reproduces bit-identical archive files.
+// Crash-safety protocol: every file the store holds — manifest, specs,
+// the pareto/feasible archives, summary and validation reports — is
+// written through util::write_file_atomic (temp file, fsync, rename,
+// directory fsync), each under its own `result_store.<artifact>`
+// failpoint site. A scenario's result files are written first and the
+// manifest marking it "complete" last, so once the manifest says
+// "complete" its archives are durable, power loss included. A campaign
+// killed mid-scenario leaves that scenario "pending"; resume re-runs it
+// from scratch and — because the engine is deterministic for a fixed
+// (spec, seed) and thread-count independent — reproduces bit-identical
+// archive files. progress.jsonl is telemetry, not a result, and the one
+// file streamed in place.
 #pragma once
 
 #include <cstddef>
@@ -83,19 +89,20 @@ class ResultStore {
   /// the manifest). Call only after its result files are on disk.
   void record_complete(const ScenarioStatus& status);
 
-  /// Result-file paths for one scenario (creates results/<name>/ on
-  /// demand via ensure_result_dir).
+  /// Result-file paths for one scenario (the write_* methods create
+  /// results/<name>/ on demand).
   std::string scenario_dir() const;
   std::string spec_path(const std::string& name) const;
   std::string result_dir(const std::string& name) const;
   std::string pareto_csv_path(const std::string& name) const;
   std::string feasible_csv_path(const std::string& name) const;
   std::string summary_path(const std::string& name) const;
-  /// Per-generation convergence history (JSONL, one record per optimizer
-  /// generation), streamed live while the scenario runs. Telemetry, not a
-  /// result: absent when the campaign ran with progress disabled, and
-  /// excluded from the store's byte-identity contract (it carries
-  /// wall-clock fields).
+  /// Convergence history (JSONL), streamed live while the scenario runs:
+  /// a record for generation 0, the final generation, every generation
+  /// where the archive changed, and at least one per 64 generations.
+  /// Telemetry, not a result: absent when the campaign ran with progress
+  /// disabled, and excluded from the store's byte-identity contract (it
+  /// carries wall-clock fields).
   std::string progress_jsonl_path(const std::string& name) const;
   /// Monte Carlo validation artifacts (written by the validate subsystem;
   /// absent unless `wsnex validate -o` / `wsnex run --validate` ran).
@@ -103,7 +110,15 @@ class ResultStore {
   std::string validation_csv_path(const std::string& name) const;
   std::string manifest_path() const;
 
+  /// Creates results/<name>/ (the progress.jsonl stream opens in it).
   void ensure_result_dir(const std::string& name) const;
+
+  /// Write one scenario's archives: CSV text built by the campaign
+  /// runner, stored atomically under the sites result_store.pareto and
+  /// result_store.feasible.
+  void write_pareto_csv(const std::string& name, const std::string& csv) const;
+  void write_feasible_csv(const std::string& name,
+                          const std::string& csv) const;
 
   /// Writes `summary` (arbitrary JSON produced by the campaign runner) to
   /// summary_path(name).
@@ -114,6 +129,10 @@ class ResultStore {
   /// to validation_json_path(name), atomically like the summary.
   void write_validation(const std::string& name,
                         const util::Json& report) const;
+  /// Writes the same report's CSV table to validation_csv_path(name)
+  /// (site result_store.validation_csv).
+  void write_validation_csv(const std::string& name,
+                            const std::string& csv) const;
   util::Json load_validation(const std::string& name) const;
   bool has_validation(const std::string& name) const;
 
@@ -125,6 +144,8 @@ class ResultStore {
 
  private:
   void save_manifest(const CampaignManifest& manifest) const;
+  void write_result(const std::string& name, const std::string& path,
+                    const std::string& contents, const char* site) const;
 
   std::string root_;
 };

@@ -54,4 +54,24 @@ std::string Table::render() const {
   return os.str();
 }
 
+void append_csv_row(std::string& out,
+                    std::initializer_list<std::string_view> fields) {
+  bool first = true;
+  for (const std::string_view field : fields) {
+    if (!first) out += ',';
+    first = false;
+    if (field.find_first_of(",\"\n") == std::string_view::npos) {
+      out += field;
+      continue;
+    }
+    out += '"';
+    for (const char c : field) {
+      if (c == '"') out += '"';
+      out += c;
+    }
+    out += '"';
+  }
+  out += '\n';
+}
+
 }  // namespace wsnex::util

@@ -1,10 +1,13 @@
-// ASCII table rendering for bench output.
+// Text tables: column-aligned ASCII for bench and CLI output, and CSV
+// rows for result files.
 //
 // Every bench binary reproduces one of the paper's tables/figures as a
 // plain-text table; this keeps their formatting consistent.
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wsnex::util {
@@ -32,5 +35,12 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Appends one CSV row to `out`: fields joined by ',' and ended by '\n'.
+/// A field is quoted only when it holds a comma, a double quote or a
+/// newline, and quotes inside it are doubled (RFC 4180). Callers build a
+/// whole file this way and hand it to util::write_file_atomic.
+void append_csv_row(std::string& out,
+                    std::initializer_list<std::string_view> fields);
 
 }  // namespace wsnex::util

@@ -9,8 +9,8 @@
 #include "model/csma_model.hpp"
 #include "model/node_model.hpp"
 #include "sim/timing.hpp"
-#include "util/csv.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wsnex::validate {
@@ -469,31 +469,31 @@ util::Json ValidationReport::to_json() const {
   return json;
 }
 
-void ValidationReport::write_csv(const std::string& path) const {
-  util::CsvWriter csv(path);
-  csv.write_row({"metric", "unit", "replicates", "sim_mean", "sim_stddev",
-                 "ci_lo", "ci_hi", "sim_min", "sim_max", "analytic", "kind",
-                 "mape_percent", "ci_overlap", "verdict"});
+std::string ValidationReport::to_csv() const {
+  std::string csv;
+  util::append_csv_row(csv, {"metric", "unit", "replicates", "sim_mean",
+                             "sim_stddev", "ci_lo", "ci_hi", "sim_min",
+                             "sim_max", "analytic", "kind", "mape_percent",
+                             "ci_overlap", "verdict"});
   const auto num = [](double v) { return util::format_double_shortest(v); };
   for (const MetricSummary& m : metrics) {
     const bool finite_ci = std::isfinite(m.ci_lo);
-    csv.write_row({m.name, m.unit, std::to_string(m.count), num(m.sim_mean),
-                   num(m.sim_stddev), finite_ci ? num(m.ci_lo) : "",
-                   finite_ci ? num(m.ci_hi) : "", num(m.sim_min),
-                   num(m.sim_max), m.has_analytic ? num(m.analytic) : "",
-                   to_string(m.kind),
-                   m.kind == VerdictKind::kMape ? num(m.mape_percent) : "",
-                   m.has_analytic ? (m.ci_overlap ? "true" : "false") : "",
-                   to_string(m.verdict)});
+    util::append_csv_row(
+        csv, {m.name, m.unit, std::to_string(m.count), num(m.sim_mean),
+              num(m.sim_stddev), finite_ci ? num(m.ci_lo) : "",
+              finite_ci ? num(m.ci_hi) : "", num(m.sim_min), num(m.sim_max),
+              m.has_analytic ? num(m.analytic) : "", to_string(m.kind),
+              m.kind == VerdictKind::kMape ? num(m.mape_percent) : "",
+              m.has_analytic ? (m.ci_overlap ? "true" : "false") : "",
+              to_string(m.verdict)});
   }
-  csv.close();
+  return csv;
 }
 
 void persist_validation(const scenario::ResultStore& store,
                         const ValidationReport& report) {
-  store.ensure_result_dir(report.scenario);
   store.write_validation(report.scenario, report.to_json());
-  report.write_csv(store.validation_csv_path(report.scenario));
+  store.write_validation_csv(report.scenario, report.to_csv());
 }
 
 scenario::PostScenarioHook make_campaign_validation_hook(

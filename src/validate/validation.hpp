@@ -128,8 +128,9 @@ struct ValidationReport {
   /// Deterministic serialization (no wallclock, shortest-round-trip
   /// numbers, fixed ordering).
   util::Json to_json() const;
-  /// One row per metric, same determinism contract as to_json().
-  void write_csv(const std::string& path) const;
+  /// validation.csv: one row per metric, same determinism contract as
+  /// to_json().
+  std::string to_csv() const;
 };
 
 /// Runs the replicated validation experiment for one scenario. Throws

@@ -3,7 +3,9 @@
 // campaign evaluates, crash mid-persist in a forked child (EXPECT_EXIT),
 // recover the way the CLI would — resume when a manifest exists, rerun
 // otherwise — and require the recovered archives byte-identical to an
-// uninterrupted reference. Plus the PRD disk-cache degradation contract:
+// uninterrupted reference; an injected archive write error likewise
+// leaves the scenario pending and resumable. Plus the PRD disk-cache
+// degradation contract:
 // torn or unreadable cache files recompute in memory, produce identical
 // curves, and bump wsnex_cache_degraded_total.
 //
@@ -23,6 +25,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/result_store.hpp"
 #include "util/failpoint.hpp"
+#include "util/fsio.hpp"
 #include "util/metrics.hpp"
 
 namespace wsnex {
@@ -85,7 +88,10 @@ TEST_F(CrashRecoveryTest, CrashAtEveryPersistSiteResumesBitIdentical) {
   // record_complete that publishes the scenario.
   const std::vector<std::pair<std::string, std::string>> crash_sites = {
       {"spec", "result_store.spec=crash"},
-      {"persist", "campaign.persist=crash"},
+      {"pareto", "result_store.pareto=crash"},
+      {"pareto_rename", "result_store.pareto.rename=crash"},
+      {"feasible", "result_store.feasible=crash"},
+      {"feasible_rename", "result_store.feasible.rename=crash"},
       {"summary", "result_store.summary=crash"},
       {"summary_rename", "result_store.summary.rename=crash"},
       {"manifest", "result_store.manifest=crash#2"},
@@ -121,6 +127,53 @@ TEST_F(CrashRecoveryTest, CrashAtEveryPersistSiteResumesBitIdentical) {
     EXPECT_EQ(read_file(store.feasible_csv_path(name)), ref_feasible);
     // Recovery leaves no temp debris behind.
     EXPECT_EQ(store.sweep_stale_temp_files(), 0u);
+  }
+}
+
+TEST_F(CrashRecoveryTest, ArchiveWriteErrorLeavesScenarioPendingAndResumes) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  const std::string name = "hospital_ward_2";
+  const std::vector<scenario::ScenarioSpec> specs{scenario::preset(name)};
+  ASSERT_TRUE(scenario::run_campaign(specs, options(dir("ref"))).complete);
+  const scenario::ResultStore ref(dir("ref"));
+  const std::string ref_pareto = read_file(ref.pareto_csv_path(name));
+  const std::string ref_feasible = read_file(ref.feasible_csv_path(name));
+
+  // pareto.csv is written before feasible.csv, so a failed pareto write
+  // leaves neither archive; a failed feasible rename leaves pareto.csv
+  // but no feasible.csv. Either way the manifest never says "complete".
+  const struct {
+    const char* label;
+    const char* arm;
+    bool pareto_left;
+  } faults[] = {
+      {"pareto_enospc", "result_store.pareto=error(ENOSPC)", false},
+      {"feasible_rename_eio", "result_store.feasible.rename=error(EIO)", true},
+  };
+  for (const auto& fault : faults) {
+    SCOPED_TRACE(fault.label);
+    const std::string out = dir(fault.label);
+    fp::configure(fault.arm);
+    EXPECT_THROW(scenario::run_campaign(specs, options(out)), util::FileError);
+    fp::reset();
+
+    const scenario::ResultStore store(out);
+    EXPECT_EQ(fs::exists(store.pareto_csv_path(name)), fault.pareto_left);
+    EXPECT_FALSE(fs::exists(store.feasible_csv_path(name)));
+    EXPECT_FALSE(fs::exists(store.summary_path(name)));
+    for (const auto& entry : fs::recursive_directory_iterator(out)) {
+      EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                std::string::npos)
+          << entry.path();
+    }
+    const scenario::CampaignManifest pending = store.load_manifest();
+    ASSERT_EQ(pending.scenarios.size(), 1u);
+    EXPECT_FALSE(pending.scenarios[0].complete);
+
+    EXPECT_TRUE(scenario::resume_campaign(out).complete);
+    EXPECT_TRUE(store.load_manifest().scenarios[0].complete);
+    EXPECT_EQ(read_file(store.pareto_csv_path(name)), ref_pareto);
+    EXPECT_EQ(read_file(store.feasible_csv_path(name)), ref_feasible);
   }
 }
 

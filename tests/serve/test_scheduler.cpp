@@ -352,18 +352,22 @@ TEST_F(SchedulerTest, RecoverQuarantinesCorruptShardAndServesOn) {
     out << "{\"id\": \"bad\", \"kin";
   }
 
-  JobScheduler second(options());
-  EXPECT_EQ(second.recover(), 1u);  // only the healthy job re-enqueues
-  // The corrupt shard was moved aside, not deleted — its artifacts stay
-  // inspectable — and its id no longer resolves.
-  EXPECT_FALSE(fs::exists(bad_shard));
-  EXPECT_TRUE(fs::exists(bad_shard.string() + ".quarantined"));
-  EXPECT_FALSE(second.status("bad").has_value());
-  second.start();
-  EXPECT_EQ(wait_terminal(second, "good").state, JobState::kComplete);
+  {
+    JobScheduler second(options());
+    EXPECT_EQ(second.recover(), 1u);  // only the healthy job re-enqueues
+    // The corrupt shard was moved aside, not deleted — its artifacts stay
+    // inspectable — and its id no longer resolves.
+    EXPECT_FALSE(fs::exists(bad_shard));
+    EXPECT_TRUE(fs::exists(bad_shard.string() + ".quarantined"));
+    EXPECT_FALSE(second.status("bad").has_value());
+    second.start();
+    EXPECT_EQ(wait_terminal(second, "good").state, JobState::kComplete);
+  }
 
   // A third generation must not trip over (or re-quarantine) the moved
-  // shard, and the freed id is submittable again.
+  // shard, and the freed id is submittable again. It starts only after
+  // the second is gone: recover() sweeps `.tmp.*` files, so it must not
+  // run while another scheduler may still be writing a job record.
   JobScheduler third(options());
   EXPECT_EQ(third.recover(), 0u);
   EXPECT_TRUE(fs::exists(bad_shard.string() + ".quarantined"));
@@ -536,16 +540,32 @@ TEST_F(SchedulerTest, ExhaustedTransientRetriesFailTheJob) {
   FailpointGuard guard;
   // Every write fails: the single default retry burns out and the job
   // fails with the injected error, after exactly 1 + unit_retries runs.
-  util::failpoint::configure("result_store.validation=error(ENOSPC)");
-  JobScheduler scheduler(options());
-  ASSERT_EQ(scheduler.submit(validation_job("doomed", {"hospital_ward_2"}))
-                .code,
-            JobScheduler::Admission::Code::kAccepted);
-  scheduler.start();
-  const JobProgress done = wait_terminal(scheduler, "doomed");
-  EXPECT_EQ(done.state, JobState::kFailed);
-  EXPECT_NE(done.error.find("injected"), std::string::npos) << done.error;
-  EXPECT_EQ(scheduler.execution_log().size(), 2u);
+  // Once for a validation report, once for a campaign archive.
+  JobSpec campaign;
+  campaign.id = "doomed";
+  campaign.kind = JobKind::kCampaign;
+  campaign.quick = true;
+  campaign.scenarios.push_back(scenario::preset("hospital_ward_2"));
+  const std::pair<const char*, JobSpec> inputs[] = {
+      {"result_store.validation=error(ENOSPC)",
+       validation_job("doomed", {"hospital_ward_2"})},
+      {"result_store.pareto=error(ENOSPC)", campaign},
+  };
+  for (const auto& [arm, spec] : inputs) {
+    SCOPED_TRACE(arm);
+    util::failpoint::configure(arm);
+    SchedulerOptions o = options();
+    o.data_dir = (root_ / to_string(spec.kind)).string();
+    JobScheduler scheduler(o);
+    ASSERT_EQ(scheduler.submit(spec).code,
+              JobScheduler::Admission::Code::kAccepted);
+    scheduler.start();
+    const JobProgress done = wait_terminal(scheduler, "doomed");
+    EXPECT_EQ(done.state, JobState::kFailed);
+    EXPECT_NE(done.error.find("injected"), std::string::npos) << done.error;
+    EXPECT_EQ(scheduler.execution_log().size(), 2u);
+    util::failpoint::reset();
+  }
 }
 
 }  // namespace

@@ -1,32 +1,38 @@
-// Direct CsvWriter coverage: quoting/escaping edge cases, full-precision
-// numeric round-trips (the campaign result store depends on both — archive
-// CSVs must reload to bit-identical doubles) and write-error reporting.
-#include "util/csv.hpp"
-
+// The CSV writing path result files take: rows formatted by
+// util::append_csv_row, the whole file stored with util::write_file_atomic.
+// Covers quoting/escaping edge cases and full-precision numeric
+// round-trips (archive CSVs must reload to bit-identical doubles). Write
+// errors are write_file_atomic's (FsioTest covers them).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <filesystem>
+#include <initializer_list>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/fsio.hpp"
+#include "util/json.hpp"
+#include "util/table.hpp"
 
 namespace wsnex::util {
 namespace {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/wsnex_csv_writer_test.csv";
+  /// One file per test: ctest runs the tests as parallel processes.
+  const ::testing::TestInfo* info_ =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string path_ = ::testing::TempDir() + "/wsnex_csv_" +
+                      info_->test_suite_name() + "_" + info_->name() + ".csv";
 
-  std::string read_back() const {
-    std::ifstream in(path_, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+  /// Stores `csv` at path_ and reads the file back.
+  std::string round_trip(const std::string& csv) const {
+    write_file_atomic(path_, csv);
+    return read_file(path_);
   }
 
   /// Minimal RFC 4180 row splitter for round-trip checks (handles quoted
@@ -70,35 +76,30 @@ class CsvWriterTest : public ::testing::Test {
 };
 
 TEST_F(CsvWriterTest, QuotesOnlyWhenNecessary) {
-  {
-    CsvWriter csv(path_);
-    csv.write_row({"plain", "with space", "semi;colon"});
-  }
+  std::string csv;
+  append_csv_row(csv, {"plain", "with space", "semi;colon"});
   // None of these need quoting per RFC 4180.
-  EXPECT_EQ(read_back(), "plain,with space,semi;colon\n");
+  EXPECT_EQ(round_trip(csv), "plain,with space,semi;colon\n");
 }
 
 TEST_F(CsvWriterTest, EscapesCommaQuoteAndNewline) {
-  {
-    CsvWriter csv(path_);
-    csv.write_row({"a,b", "say \"hi\"", "line1\nline2", "", "\"", ","});
-  }
-  EXPECT_EQ(read_back(),
+  std::string csv;
+  append_csv_row(csv, {"a,b", "say \"hi\"", "line1\nline2", "", "\"", ","});
+  EXPECT_EQ(round_trip(csv),
             "\"a,b\",\"say \"\"hi\"\"\",\"line1\nline2\",,\"\"\"\",\",\"\n");
 }
 
 TEST_F(CsvWriterTest, EscapedFieldsParseBackExactly) {
-  const std::vector<std::string> original = {
+  const std::initializer_list<std::string_view> original = {
       "a,b", "say \"hi\"", "line1\nline2", "", "\"\"", "trailing,", "\n",
       "mix,\"of\nall\""};
-  {
-    CsvWriter csv(path_);
-    csv.write_row(original);
-  }
-  const std::string contents = read_back();
+  std::string csv;
+  append_csv_row(csv, original);
+  const std::string contents = round_trip(csv);
   std::size_t pos = 0;
   const std::vector<std::string> parsed = parse_row(contents, pos);
-  EXPECT_EQ(parsed, original);
+  EXPECT_EQ(parsed,
+            std::vector<std::string>(original.begin(), original.end()));
   EXPECT_EQ(pos, contents.size());
 }
 
@@ -113,67 +114,69 @@ TEST_F(CsvWriterTest, NumericRowRoundTripsFullPrecision) {
       -0.0,
       123456789.123456789,
   };
-  {
-    CsvWriter csv(path_);
-    csv.write_numeric_row(values);
-  }
-  const std::string contents = read_back();
+  std::string csv;
+  const auto num = [&](std::size_t i) {
+    return format_double_shortest(values[i]);
+  };
+  append_csv_row(csv, {num(0), num(1), num(2), num(3), num(4), num(5), num(6),
+                       num(7)});
+  const std::string contents = round_trip(csv);
   std::size_t pos = 0;
   const std::vector<std::string> fields = parse_row(contents, pos);
   ASSERT_EQ(fields.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double parsed = std::strtod(fields[i].c_str(), nullptr);
     EXPECT_EQ(parsed, values[i]) << "field " << i << " = " << fields[i];
+    EXPECT_EQ(std::signbit(parsed), std::signbit(values[i])) << "field " << i;
   }
 }
 
 TEST_F(CsvWriterTest, CountsHeaderAndDataRows) {
-  {
-    CsvWriter csv(path_);
-    csv.write_row({"h1", "h2"});
-    csv.write_numeric_row({1.0, 2.0});
-    csv.write_row({"x", "y"});
-    EXPECT_EQ(csv.rows_written(), 3u);
-  }
-  const std::string contents = read_back();
+  std::string csv;
+  append_csv_row(csv, {"h1", "h2"});
+  append_csv_row(csv,
+                 {format_double_shortest(1.0), format_double_shortest(2.0)});
+  append_csv_row(csv, {"x", "y"});
+  const std::string contents = round_trip(csv);
+  EXPECT_EQ(contents, "h1,h2\n1,2\nx,y\n");
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(contents.begin(), contents.end(), '\n')),
             3u);
 }
 
 TEST_F(CsvWriterTest, EmptyRowWritesBlankLine) {
-  {
-    CsvWriter csv(path_);
-    csv.write_row(std::vector<std::string>{});
-    csv.write_row({""});
-  }
-  EXPECT_EQ(read_back(), "\n\n");
+  std::string csv;
+  append_csv_row(csv, {});
+  append_csv_row(csv, {""});
+  EXPECT_EQ(round_trip(csv), "\n\n");
 }
 
-TEST_F(CsvWriterTest, CloseReportsAFullDevice) {
-  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  // A few rows stay in the stream buffer; the flush in close() is where
-  // ENOSPC surfaces.
-  CsvWriter csv("/dev/full");
-  csv.write_row({"h1", "h2"});
-  csv.write_numeric_row({1.0, 2.0});
-  try {
-    csv.close();
-    FAIL() << "close() on /dev/full did not throw";
-  } catch (const FileError& e) {
-    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
-        << e.what();
-  }
+using CsvFixture = CsvWriterTest;
+
+TEST_F(CsvFixture, WritesPlainRows) {
+  std::string csv;
+  append_csv_row(csv, {"a", "b"});
+  append_csv_row(csv, {"1", "2"});
+  EXPECT_EQ(round_trip(csv), "a,b\n1,2\n");
 }
 
-TEST_F(CsvWriterTest, RowWritesReportAFullDevice) {
-  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  // Enough rows to overflow the stream buffer: the failure surfaces from
-  // write_row itself, before close().
-  CsvWriter csv("/dev/full");
-  const std::vector<std::string> row(64, std::string(64, 'x'));
-  EXPECT_THROW(
-      for (int i = 0; i < 1024; ++i) csv.write_row(row), FileError);
+TEST_F(CsvFixture, EscapesSpecialCharacters) {
+  std::string csv;
+  append_csv_row(csv, {"has,comma", "has\"quote", "plain"});
+  EXPECT_EQ(round_trip(csv), "\"has,comma\",\"has\"\"quote\",plain\n");
+}
+
+TEST_F(CsvFixture, NumericRowRoundTrips) {
+  std::string csv;
+  append_csv_row(csv,
+                 {format_double_shortest(1.5), format_double_shortest(-2.25)});
+  EXPECT_EQ(round_trip(csv), "1.5,-2.25\n");
+}
+
+TEST(Csv, ThrowsOnUnwritablePath) {
+  std::string csv;
+  append_csv_row(csv, {"a"});
+  EXPECT_THROW(write_file_atomic("/nonexistent-dir/x.csv", csv), FileError);
 }
 
 }  // namespace

@@ -33,8 +33,9 @@ TEST(EventRingTest, PublishAssignsMonotoneSequenceFromOne) {
 TEST(EventRingTest, ReadSinceReturnsOnlyNewerEventsInOrder) {
   EventRing ring(16);
   for (int i = 0; i < 5; ++i) {
-    ring.publish(make_event(Kind::kGeneration, "job", "scen",
-                            "d" + std::to_string(i)));
+    std::string detail = "d";
+    detail += std::to_string(i);
+    ring.publish(make_event(Kind::kGeneration, "job", "scen", detail));
   }
   std::vector<Event> out;
   std::uint64_t dropped = 99;

@@ -42,7 +42,10 @@ REF_FEASIBLE="$REF/results/$SCENARIO/feasible.csv"
 SITES=(
   "spec:result_store.spec=crash"
   "spec_rename:result_store.spec.rename=crash"
-  "persist:campaign.persist=crash"
+  "pareto:result_store.pareto=crash"
+  "pareto_rename:result_store.pareto.rename=crash"
+  "feasible:result_store.feasible=crash"
+  "feasible_rename:result_store.feasible.rename=crash"
   "summary:result_store.summary=crash"
   "summary_rename:result_store.summary.rename=crash"
   "manifest:result_store.manifest=crash#2"

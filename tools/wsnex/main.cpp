@@ -47,6 +47,7 @@
 #include "scenario/result_store.hpp"
 #include "sim/network.hpp"
 #include "util/failpoint.hpp"
+#include "util/fsio.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/simd.hpp"
@@ -928,12 +929,12 @@ int cmd_export(const std::vector<std::string>& args) {
     const scenario::ScenarioSpec spec = scenario::preset(name);
     const std::string path =
         (std::filesystem::path(flags.out_dir) / (name + ".json")).string();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    try {
+      util::write_file_atomic(path, spec.to_json().dump(2));
+    } catch (const util::FileError& e) {
+      std::fprintf(stderr, "export: %s\n", e.what());
       return 1;
     }
-    out << spec.to_json().dump(2);
     std::printf("wrote %s\n", path.c_str());
   }
   return 0;
