@@ -12,7 +12,9 @@
 // skips google-benchmark and instead sweeps
 //   objective in {scalar-uncached, memoized-batch} x population {64,128,256}
 // over case-study-sized NSGA-II runs (plus a MOSA row per objective),
-// writing evaluations/s per configuration as JSON. The committed
+// writing evaluations/s per configuration as JSON, next to how many of
+// those evaluations reached the objective (`objective_calls`; the
+// optimizers serve repeated genomes from a per-run memo). The committed
 // BENCH_dse_throughput.json at the repo root embeds this mode's
 // `configs` array inside hand-recorded context blocks (`machine`, and
 // `baseline` = the pre-batching engine measured from the pre-PR tree on
@@ -22,6 +24,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -172,50 +176,76 @@ struct SweepRow {
   std::string objective;   // "scalar-uncached" | "memoized-batch"
   std::size_t population = 0;  // 0 for mosa
   std::size_t evaluations = 0;
+  std::size_t objective_calls = 0;  ///< evaluations that reached fn
   double best_evals_per_s = 0.0;
 };
 
-SweepRow run_nsga2_config(const std::string& objective,
-                          std::size_t population, int reps) {
-  SweepRow row{"nsga2", objective, population, 0, 0.0};
+/// Counting decorator: how many evaluations reach the objective once the
+/// optimizer's genome memo has served the repeats.
+class CountingBatchObjective final : public dse::BatchObjectiveFunction {
+ public:
+  explicit CountingBatchObjective(const dse::BatchObjectiveFunction& inner)
+      : inner_(inner) {}
+
+  std::size_t arity() const override { return inner_.arity(); }
+  std::size_t worker_slots() const override { return 1; }
+  std::size_t evaluate(const dse::Genome& genome, std::span<double> out,
+                       std::size_t worker) const override {
+    ++calls_;
+    return inner_.evaluate(genome, out, worker);
+  }
+  std::size_t calls() const { return calls_; }
+
+ private:
+  const dse::BatchObjectiveFunction& inner_;
+  mutable std::size_t calls_ = 0;
+};
+
+/// The objective a sweep row names, in its batch form: the scalar model
+/// through the decode-and-forward adapter, or the memoized fast path.
+std::unique_ptr<dse::BatchObjectiveFunction> make_objective(
+    const std::string& objective, const dse::ObjectiveFunction& scalar) {
+  return objective == "memoized-batch"
+             ? dse::make_memoized_full_model_objective(evaluator(),
+                                                       case_space(), 1)
+             : dse::make_batch_adapter(case_space(), scalar);
+}
+
+/// Runs `run(objective)` `reps` times, keeping the best evaluation rate.
+template <typename Run>
+void sweep(SweepRow& row, int reps, const Run& run) {
   const auto scalar = dse::make_full_model_objective(evaluator());
-  const auto memo = objective == "memoized-batch"
-                        ? dse::make_memoized_full_model_objective(
-                              evaluator(), case_space(), 1)
-                        : nullptr;
-  dse::Nsga2Options opt;
-  opt.population = population;
-  opt.generations = 4000 / population;
+  const auto fn = make_objective(row.objective, scalar);
   for (int r = 0; r < reps; ++r) {
-    const dse::DseResult res =
-        memo ? dse::run_nsga2(case_space(), *memo, opt)
-             : dse::run_nsga2(case_space(), scalar, opt);
+    const CountingBatchObjective counted(*fn);
+    const dse::DseResult res = run(counted);
     row.evaluations = res.evaluations;
+    row.objective_calls = counted.calls();
     const double rate =
         static_cast<double>(res.evaluations) / res.wallclock_s;
     if (rate > row.best_evals_per_s) row.best_evals_per_s = rate;
   }
+}
+
+SweepRow run_nsga2_config(const std::string& objective,
+                          std::size_t population, int reps) {
+  SweepRow row{"nsga2", objective, population, 0, 0, 0.0};
+  dse::Nsga2Options opt;
+  opt.population = population;
+  opt.generations = 4000 / population;
+  sweep(row, reps, [&](const dse::BatchObjectiveFunction& fn) {
+    return dse::run_nsga2(case_space(), fn, opt);
+  });
   return row;
 }
 
 SweepRow run_mosa_config(const std::string& objective, int reps) {
-  SweepRow row{"mosa", objective, 0, 0, 0.0};
-  const auto scalar = dse::make_full_model_objective(evaluator());
-  const auto memo = objective == "memoized-batch"
-                        ? dse::make_memoized_full_model_objective(
-                              evaluator(), case_space(), 1)
-                        : nullptr;
+  SweepRow row{"mosa", objective, 0, 0, 0, 0.0};
   dse::MosaOptions opt;
   opt.iterations = 4000;
-  for (int r = 0; r < reps; ++r) {
-    const dse::DseResult res =
-        memo ? dse::run_mosa(case_space(), *memo, opt)
-             : dse::run_mosa(case_space(), scalar, opt);
-    row.evaluations = res.evaluations;
-    const double rate =
-        static_cast<double>(res.evaluations) / res.wallclock_s;
-    if (rate > row.best_evals_per_s) row.best_evals_per_s = rate;
-  }
+  sweep(row, reps, [&](const dse::BatchObjectiveFunction& fn) {
+    return dse::run_mosa(case_space(), fn, opt);
+  });
   return row;
 }
 
@@ -231,13 +261,16 @@ int run_json_sweep(const std::string& path, bool quick) {
   for (const char* objective : {"scalar-uncached", "memoized-batch"}) {
     for (const std::size_t population : populations) {
       rows.push_back(run_nsga2_config(objective, population, reps));
-      std::fprintf(stderr, "%s %s pop=%zu: %.0f evals/s\n",
+      std::fprintf(stderr,
+                   "%s %s pop=%zu: %.0f evals/s, %zu of %zu calls\n",
                    rows.back().optimizer.c_str(), objective, population,
-                   rows.back().best_evals_per_s);
+                   rows.back().best_evals_per_s, rows.back().objective_calls,
+                   rows.back().evaluations);
     }
     rows.push_back(run_mosa_config(objective, reps));
-    std::fprintf(stderr, "mosa %s: %.0f evals/s\n", objective,
-                 rows.back().best_evals_per_s);
+    std::fprintf(stderr, "mosa %s: %.0f evals/s, %zu of %zu calls\n",
+                 objective, rows.back().best_evals_per_s,
+                 rows.back().objective_calls, rows.back().evaluations);
   }
 
   std::fprintf(out, "{\n  \"bench\": \"dse_throughput\",\n");
@@ -252,9 +285,10 @@ int run_json_sweep(const std::string& path, bool quick) {
     const SweepRow& r = rows[i];
     std::fprintf(out,
                  "    {\"optimizer\": \"%s\", \"objective\": \"%s\", "
-                 "\"population\": %zu, "
-                 "\"evaluations\": %zu, \"evals_per_s\": %.0f}%s\n",
-                 r.optimizer.c_str(), r.objective.c_str(), r.population, r.evaluations, r.best_evals_per_s,
+                 "\"population\": %zu, \"evaluations\": %zu, "
+                 "\"objective_calls\": %zu, \"evals_per_s\": %.0f}%s\n",
+                 r.optimizer.c_str(), r.objective.c_str(), r.population,
+                 r.evaluations, r.objective_calls, r.best_evals_per_s,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

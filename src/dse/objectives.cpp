@@ -170,19 +170,4 @@ std::unique_ptr<BatchObjectiveFunction> make_batch_adapter(
   return std::make_unique<ScalarBatchAdapter>(space, fn);
 }
 
-void evaluate_genome_batch(const BatchObjectiveFunction& fn,
-                           std::span<const Genome> genomes,
-                           std::span<double> values,
-                           std::span<std::uint8_t> counts) {
-  const std::size_t stride = fn.arity();
-  if (values.size() < genomes.size() * stride ||
-      counts.size() < genomes.size()) {
-    throw std::invalid_argument("evaluate_genome_batch: buffer too small");
-  }
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    counts[i] = static_cast<std::uint8_t>(
-        fn.evaluate(genomes[i], values.subspan(i * stride, stride), 0));
-  }
-}
-
 }  // namespace wsnex::dse

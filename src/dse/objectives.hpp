@@ -4,8 +4,8 @@
 //  * the scalar ObjectiveFunction (design -> optional objective vector),
 //    the original one-design-at-a-time API, and
 //  * BatchObjectiveFunction, the DSE hot-path API: genome-indexed and
-//    allocation-free after warm-up. evaluate_genome_batch() runs a genome
-//    batch on the calling thread with index-ordered result placement.
+//    allocation-free after warm-up. run_nsga2/run_mosa evaluate each
+//    batch on the calling thread, through a per-run genome memo.
 #pragma once
 
 #include <atomic>
@@ -28,7 +28,10 @@ using Objectives = std::vector<double>;
 /// design, or nullopt when the design is infeasible. The batch engine
 /// behind run_nsga2/run_mosa stores objectives inline, so vectors are
 /// limited to kMaxObjectives components (the paper uses 3); longer ones
-/// raise std::length_error on first evaluation.
+/// raise std::length_error on first evaluation. Handed to run_nsga2 or
+/// run_mosa it must be a pure function of the design, like
+/// BatchObjectiveFunction::evaluate: those runs call it at most once per
+/// distinct design they remember.
 using ObjectiveFunction =
     std::function<std::optional<Objectives>(const model::NetworkDesign&)>;
 
@@ -64,6 +67,12 @@ class BatchObjectiveFunction {
   /// vector into `out` (whose size must be >= arity()) and returns its
   /// length, or returns 0 for an infeasible design (`out` is then
   /// unspecified).
+  ///
+  /// Must be a pure function of the genome: the same genome always gives
+  /// the same length and bit-identical values. run_nsga2 and run_mosa keep
+  /// a bounded per-run memo of evaluated genomes and serve repeats from it
+  /// without calling evaluate() again (DseResult::evaluations still counts
+  /// every design), so a side effect per call is not observed per design.
   virtual std::size_t evaluate(const Genome& genome, std::span<double> out,
                                std::size_t worker) const = 0;
 };
@@ -100,15 +109,6 @@ std::unique_ptr<BatchObjectiveFunction> make_memoized_full_model_objective(
 /// each genome and forwarding.
 std::unique_ptr<BatchObjectiveFunction> make_batch_adapter(
     const DesignSpace& space, const ObjectiveFunction& fn);
-
-/// Evaluates genomes[i] into counts[i] / values[i * fn.arity() ...) on the
-/// calling thread, worker slot 0. `values` must hold
-/// genomes.size() * fn.arity() doubles and `counts` genomes.size() entries
-/// (0 == infeasible); throws std::invalid_argument otherwise.
-void evaluate_genome_batch(const BatchObjectiveFunction& fn,
-                           std::span<const Genome> genomes,
-                           std::span<double> values,
-                           std::span<std::uint8_t> counts);
 
 /// Counts evaluations (shared by the DSE throughput accounting).
 /// Thread-safe: the counter is atomic, so one instance may be shared by

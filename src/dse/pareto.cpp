@@ -18,6 +18,30 @@ bool dominates(const Objectives& a, const Objectives& b) {
 }
 
 namespace detail {
+namespace {
+
+/// The front a point joins: the first of `fronts_used` none of whose
+/// members dominates it. "Some member of front f dominates p" holds for
+/// every front before one where it holds (a member of front f was placed
+/// there because each earlier front held a member dominating it, and
+/// dominance is transitive), so a binary search over the fronts finds
+/// the same front as scanning them in order (ENS-BS rather than ENS-SS).
+template <typename DominatedBy>
+std::size_t first_front_not_dominating(std::size_t fronts_used,
+                                       const DominatedBy& dominated_by) {
+  std::size_t lo = 0, hi = fronts_used;
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (dominated_by(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
 
 void non_dominated_fronts_flat(const double* flat, std::size_t n,
                                std::size_t m, FrontScratch& scratch,
@@ -26,32 +50,38 @@ void non_dominated_fronts_flat(const double* flat, std::size_t n,
   if (n == 0) return;
   if (m == 0) return;  // zero-arity points are all equal: one shared front
 
-  // ENS-SS (Zhang et al. 2015, "efficient non-dominated sort, sequential
-  // search"): process points in lexicographic order, so a point can only
-  // be dominated by points already placed. For each point, find the first
-  // existing front none of whose members dominates it (members are
-  // scanned newest-first — lexicographically close members are the most
+  // ENS (Zhang et al. 2015, "efficient non-dominated sort"): process
+  // points in lexicographic order, so a point can only be dominated by
+  // points already placed. For each point, find the first existing front
+  // none of whose members dominates it, by binary search over the fronts
+  // (ENS-BS, see first_front_not_dominating; members are scanned
+  // newest-first — lexicographically close members are the most
   // likely dominators, giving the early exit the O(MN^2) worst case
   // rarely pays). Front indices are a well-defined property of the point
   // set, so the result is identical to the classic Deb peeling.
-  // Pack the primary sort key next to the index: most comparisons resolve
-  // on the first objective without touching the point matrix. Ties fall
-  // back to the full row; the processing order among exactly-equal rows
-  // is irrelevant (they share a front either way).
+  //
+  // Carry the first three objectives next to the index: nearly every
+  // comparison resolves inside the key without touching the point
+  // matrix, and the comparisons (hence the permutation) are exactly
+  // those of a lexicographic sort over the full rows. The processing
+  // order among exactly-equal rows is irrelevant (they share a front
+  // either way).
   std::vector<FrontScratch::LexKey>& order = scratch.order;
   order.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    order[i] = {flat[i * m], static_cast<std::uint32_t>(i)};
+    const double* p = flat + i * m;
+    order[i] = {{p[0], m > 1 ? p[1] : 0.0, m > 2 ? p[2] : 0.0},
+                static_cast<std::uint32_t>(i)};
   }
   std::sort(order.begin(), order.end(),
             [flat, m](const FrontScratch::LexKey& a,
                       const FrontScratch::LexKey& b) {
-              if (a.first_objective != b.first_objective) {
-                return a.first_objective < b.first_objective;
+              for (std::size_t k = 0; k < 3; ++k) {
+                if (a.head[k] != b.head[k]) return a.head[k] < b.head[k];
               }
               const double* pa = flat + a.index * m;
               const double* pb = flat + b.index * m;
-              for (std::size_t k = 1; k < m; ++k) {
+              for (std::size_t k = 3; k < m; ++k) {
                 if (pa[k] != pb[k]) return pa[k] < pb[k];
               }
               return a.index < b.index;
@@ -69,11 +99,21 @@ void non_dominated_fronts_flat(const double* flat, std::size_t n,
     // scan (quadratic once the population converges onto few fronts)
     // with an O(log |front|) probe.
     std::size_t fronts_used = 0;
+    const FrontScratch::LexKey* prev = nullptr;
     for (const FrontScratch::LexKey& key : order) {
       const std::size_t idx = key.index;
-      const double* p = flat + idx * m;
-      std::size_t f = 0;
-      for (; f < fronts_used; ++f) {
+      const double* p = key.head;
+      // Equal rows are adjacent in the order. A repeat of the previous
+      // point has the same dominators, so it joins the same front, whose
+      // staircase already holds its corner: nothing to search or merge.
+      // (Converged populations are full of repeats.)
+      if (prev != nullptr && p[0] == prev->head[0] &&
+          p[1] == prev->head[1] && p[2] == prev->head[2]) {
+        front[idx] = front[prev->index];
+        continue;
+      }
+      prev = &key;
+      const auto dominated_by = [&](std::size_t f) {
         const std::vector<FrontScratch::StairStep>& stairs =
             scratch.staircases[f];
         // Largest o1 <= p1.
@@ -86,13 +126,13 @@ void non_dominated_fronts_flat(const double* flat, std::size_t n,
             hi = mid;
           }
         }
-        if (lo == 0) break;  // no corner fits in o1: p joins this front
+        if (lo == 0) return false;  // no corner fits in o1
         const FrontScratch::StairStep& s = stairs[lo - 1];
-        const bool dominated =
-            s.o2 < p[2] ||
-            (s.o2 == p[2] && (s.o1 < p[1] || s.o0_min < p[0]));
-        if (!dominated) break;
-      }
+        return s.o2 < p[2] ||
+               (s.o2 == p[2] && (s.o1 < p[1] || s.o0_min < p[0]));
+      };
+      const std::size_t f = first_front_not_dominating(fronts_used,
+                                                       dominated_by);
       if (f == fronts_used) {
         if (scratch.staircases.size() == fronts_used) {
           scratch.staircases.emplace_back();
@@ -133,21 +173,25 @@ void non_dominated_fronts_flat(const double* flat, std::size_t n,
   }
 
   std::size_t fronts_used = 0;
+  const double* prev = nullptr;
   for (const FrontScratch::LexKey& key : order) {
     const std::size_t idx = key.index;
     const double* p = flat + idx * m;
-    std::size_t f = 0;
-    for (; f < fronts_used; ++f) {
-      const std::vector<std::uint32_t>& members = scratch.front_members[f];
-      bool dominated = false;
-      for (std::size_t k = members.size(); k-- > 0;) {
-        if (dominates_row(flat + members[k] * m, p, m)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) break;
+    // A repeat of the previous point joins its front (see above).
+    if (prev != nullptr && std::equal(p, p + m, prev)) {
+      front[idx] = front[(prev - flat) / m];
+      continue;
     }
+    prev = p;
+    const auto dominated_by = [&](std::size_t f) {
+      const std::vector<std::uint32_t>& members = scratch.front_members[f];
+      for (std::size_t k = members.size(); k-- > 0;) {
+        if (dominates_row(flat + members[k] * m, p, m)) return true;
+      }
+      return false;
+    };
+    const std::size_t f = first_front_not_dominating(fronts_used,
+                                                     dominated_by);
     if (f == fronts_used) {
       if (scratch.front_members.size() == fronts_used) {
         scratch.front_members.emplace_back();
@@ -182,26 +226,30 @@ namespace detail {
 
 void crowding_distances_flat(const double* vals, std::size_t n,
                              std::size_t m,
-                             std::vector<std::size_t>& order_scratch,
+                             std::vector<CrowdingKey>& order_scratch,
                              std::vector<double>& out) {
   out.assign(n, 0.0);
   if (n == 0) return;
   order_scratch.resize(n);
   for (std::size_t obj = 0; obj < m; ++obj) {
-    for (std::size_t i = 0; i < n; ++i) order_scratch[i] = i;
+    // Sorting (value, index) pairs by value makes the same comparisons as
+    // sorting indices by looked-up value, so the permutation (ties
+    // included) is the same; the sweep then reads values from the keys.
+    for (std::size_t i = 0; i < n; ++i) {
+      order_scratch[i] = {vals[i * m + obj], static_cast<std::uint32_t>(i)};
+    }
     std::sort(order_scratch.begin(), order_scratch.end(),
-              [vals, m, obj](std::size_t a, std::size_t b) {
-                return vals[a * m + obj] < vals[b * m + obj];
+              [](const CrowdingKey& a, const CrowdingKey& b) {
+                return a.value < b.value;
               });
-    const double lo = vals[order_scratch.front() * m + obj];
-    const double hi = vals[order_scratch.back() * m + obj];
-    out[order_scratch.front()] = std::numeric_limits<double>::infinity();
-    out[order_scratch.back()] = std::numeric_limits<double>::infinity();
+    const double lo = order_scratch.front().value;
+    const double hi = order_scratch.back().value;
+    out[order_scratch.front().index] = std::numeric_limits<double>::infinity();
+    out[order_scratch.back().index] = std::numeric_limits<double>::infinity();
     if (hi == lo) continue;
     for (std::size_t k = 1; k + 1 < n; ++k) {
-      out[order_scratch[k]] += (vals[order_scratch[k + 1] * m + obj] -
-                                vals[order_scratch[k - 1] * m + obj]) /
-                               (hi - lo);
+      out[order_scratch[k].index] +=
+          (order_scratch[k + 1].value - order_scratch[k - 1].value) / (hi - lo);
     }
   }
 }
@@ -218,7 +266,7 @@ std::vector<double> crowding_distances(const std::vector<Objectives>& front) {
     assert(front[i].size() == m);
     std::copy(front[i].begin(), front[i].end(), flat.begin() + i * m);
   }
-  std::vector<std::size_t> order;
+  std::vector<detail::CrowdingKey> order;
   detail::crowding_distances_flat(flat.data(), n, m, order, distance);
   return distance;
 }

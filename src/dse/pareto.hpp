@@ -30,8 +30,11 @@ namespace detail {
 /// loop calls it once per generation; persistent scratch keeps the hot
 /// path allocation-free after warm-up).
 struct FrontScratch {
+  /// The first three objectives of a point inline (zero-padded below
+  /// arity 3), so the lexicographic sort and the three-objective sweep
+  /// never chase the index into the point matrix.
   struct LexKey {
-    double first_objective;
+    double head[3];
     std::uint32_t index;
   };
   /// One step of a front's 2D dominance staircase (three-objective fast
@@ -58,6 +61,12 @@ void non_dominated_fronts_flat(const double* flat, std::size_t n,
                                std::size_t m, FrontScratch& scratch,
                                std::vector<std::size_t>& front);
 
+/// One point's value in the objective being sorted, next to its index.
+struct CrowdingKey {
+  double value;
+  std::uint32_t index;
+};
+
 /// Crowding distances over n contiguous rows of arity m, written into
 /// `out` (resized to n); `order_scratch` is reused across calls. Shared
 /// core of crowding_distances() and the optimizers' ranking path, so both
@@ -65,7 +74,7 @@ void non_dominated_fronts_flat(const double* flat, std::size_t n,
 /// same values.
 void crowding_distances_flat(const double* vals, std::size_t n,
                              std::size_t m,
-                             std::vector<std::size_t>& order_scratch,
+                             std::vector<CrowdingKey>& order_scratch,
                              std::vector<double>& out);
 
 /// dominates() over flat rows (does q dominate p?) — the shared hot-path
@@ -104,6 +113,16 @@ struct ArchiveEntry {
 /// last entry into the vacated slot (single-pass insert, no shifting).
 /// Use same_entries() for order-insensitive comparisons. All members must
 /// share one objective arity.
+///
+/// Repeat inserts are no-ops. Once a vector p has been offered (accepted
+/// or rejected), the archive always holds a member that equals or
+/// dominates p: a member is evicted only by one that dominates it, and
+/// dominance is transitive. So offering p again returns false and leaves
+/// entries(), objectives_flat() and revision() unchanged; only the
+/// scan-order hint moves, which decides nothing. The optimizers rely on
+/// this to skip the insert for a genome the run has already evaluated.
+/// The argument needs NaN-free vectors (ordering with NaN is not
+/// transitive), so the optimizers never memoize a row holding a NaN.
 class ParetoArchive {
  public:
   /// Attempts to insert; returns true if the point entered the archive

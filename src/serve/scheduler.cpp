@@ -478,16 +478,14 @@ std::vector<JobProgress> JobScheduler::list() const {
 }
 
 std::optional<JobProgress> JobScheduler::cancel(const std::string& id) {
-  std::lock_guard<std::mutex> lk(mutex_);
+  std::unique_lock<std::mutex> lk(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return std::nullopt;
   Job& job = *it->second;
-  if (!is_terminal(job.state) && !job.cancel_requested) {
+  if (!is_terminal(job.state) && !job.finalizing && !job.cancel_requested) {
     job.cancel_requested = true;
     wrr_.remove(id);
-    if (const std::optional<JobRecord> record = maybe_finalize(job)) {
-      persist_record(job, *record);
-    }
+    maybe_finalize(lk, job);
   }
   return progress_of(job);
 }
@@ -552,7 +550,8 @@ void JobScheduler::drain() {
   // checkpointed in the shard manifest and are skipped, not re-run).
   std::lock_guard<std::mutex> lk(mutex_);
   for (auto& [id, job] : jobs_) {
-    if (is_terminal(job->state)) continue;
+    // A finalizing job's cancel() is writing its terminal record.
+    if (is_terminal(job->state) || job->finalizing) continue;
     job->state = JobState::kQueued;
     job->claimed = job->completed;
     job->units_running = 0;
@@ -635,7 +634,7 @@ void JobScheduler::worker_loop() {
         make_event(Kind::kUnitStarted, id, job.unit_names[unit], ""));
 
     lk.unlock();
-    if (record) persist_record(job, *record);
+    if (record) persist_record_logged(job, *record);
     const double unit_start = now_s();
     UnitOutcome outcome;
     {
@@ -696,11 +695,7 @@ void JobScheduler::worker_loop() {
                                      job.unit_names[unit],
                                      "failed: " + outcome.error));
     }
-    if ((record = maybe_finalize(job))) {
-      lk.unlock();
-      persist_record(job, *record);
-      lk.lock();
-    }
+    maybe_finalize(lk, job);
   }
 }
 
@@ -715,12 +710,15 @@ void JobScheduler::watchdog_loop() {
     std::vector<std::pair<Job*, JobRecord>> expired;
     for (auto& [id, job] : jobs_) {
       Job& j = *job;
-      if (j.state != JobState::kRunning || j.spec.deadline_s <= 0.0) continue;
+      if (j.state != JobState::kRunning || j.finalizing ||
+          j.spec.deadline_s <= 0.0) {
+        continue;
+      }
       if (now - j.running_since_s <= j.spec.deadline_s) continue;
       // A stuck unit cannot be preempted (cancellation is cooperative),
-      // so the terminal state is published immediately instead of via
-      // maybe_finalize; the unit's eventual result lands on a job that is
-      // already failed, which is harmless.
+      // so the job is failed now instead of via maybe_finalize; the
+      // unit's eventual result lands on a job that is already failed,
+      // which is harmless.
       if (j.error.empty()) {
         j.error = "deadline of " + std::to_string(j.spec.deadline_s) +
                   "s exceeded";
@@ -729,29 +727,17 @@ void JobScheduler::watchdog_loop() {
       wrr_.remove(id);
       deadline_counter().inc();
       j.events->publish(make_event(Kind::kDeadlineExceeded, id, "", j.error));
-      j.state = JobState::kFailed;
-      static auto& failed = finished_counter("state=\"failed\"");
-      failed.inc();
-      j.events->publish(
-          make_event(Kind::kJobFinished, id, "", to_string(j.state)));
       WSNEX_WARN() << "serve: job \"" << id << "\" failed by watchdog: "
                    << j.error << " (" << j.units_running
                    << " unit(s) still in flight)";
-      expired.emplace_back(&j, record_of(j));
+      expired.emplace_back(&j, begin_finalize(j, JobState::kFailed));
     }
     if (!expired.empty()) {
-      active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
       // Job pointers stay valid unlocked: jobs_ never erases entries.
       lk.unlock();
-      for (auto& [job, record] : expired) {
-        try {
-          persist_record(*job, record);
-        } catch (const std::exception& e) {
-          WSNEX_WARN() << "serve: failed to persist watchdog verdict for \""
-                       << record.id << "\": " << e.what();
-        }
-      }
+      for (auto& [job, record] : expired) persist_record_logged(*job, record);
       lk.lock();
+      for (auto& [job, record] : expired) end_finalize(*job, record.state);
     }
   }
 }
@@ -796,28 +782,47 @@ JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
   }
 }
 
-std::optional<JobRecord> JobScheduler::maybe_finalize(Job& job) {
-  if (is_terminal(job.state)) return std::nullopt;
-  if (job.units_running > 0) return std::nullopt;
+void JobScheduler::maybe_finalize(std::unique_lock<std::mutex>& lk,
+                                  Job& job) {
+  if (is_terminal(job.state) || job.finalizing) return;
+  if (job.units_running > 0) return;
+  JobState state;
   if (job.fail_requested) {
-    job.state = JobState::kFailed;
-    static auto& failed = finished_counter("state=\"failed\"");
-    failed.inc();
+    state = JobState::kFailed;
   } else if (job.units_done == job.completed.size()) {
-    job.state = JobState::kComplete;
-    static auto& complete = finished_counter("state=\"complete\"");
-    complete.inc();
+    state = JobState::kComplete;
   } else if (job.cancel_requested) {
-    job.state = JobState::kCancelled;
-    static auto& cancelled = finished_counter("state=\"cancelled\"");
-    cancelled.inc();
+    state = JobState::kCancelled;
   } else {
-    return std::nullopt;  // pending units remain; keep waiting
+    return;  // pending units remain; keep waiting
   }
+  const JobRecord record = begin_finalize(job, state);
+  lk.unlock();
+  persist_record_logged(job, record);
+  lk.lock();
+  end_finalize(job, state);
+}
+
+JobRecord JobScheduler::begin_finalize(Job& job, JobState state) {
+  job.finalizing = true;
+  JobRecord record = record_of(job);
+  record.state = state;
+  return record;
+}
+
+void JobScheduler::end_finalize(Job& job, JobState state) {
+  job.finalizing = false;
+  job.state = state;
+  static auto& failed = finished_counter("state=\"failed\"");
+  static auto& complete = finished_counter("state=\"complete\"");
+  static auto& cancelled = finished_counter("state=\"cancelled\"");
+  (state == JobState::kFailed     ? failed
+   : state == JobState::kComplete ? complete
+                                  : cancelled)
+      .inc();
   job.events->publish(make_event(Kind::kJobFinished, job.spec.id, "",
                                  to_string(job.state)));
   active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
-  return record_of(job);
 }
 
 JobRecord JobScheduler::record_of(const Job& job) const {
@@ -839,6 +844,15 @@ void JobScheduler::persist_record(Job& job, const JobRecord& record) {
   util::write_file_atomic(
       (fs::path(job.store->root()) / "job.json").string(),
       record.to_json().dump(2) + "\n", "serve.job_record");
+}
+
+void JobScheduler::persist_record_logged(Job& job, const JobRecord& record) {
+  try {
+    persist_record(job, record);
+  } catch (const std::exception& e) {
+    WSNEX_WARN() << "serve: failed to persist the " << to_string(record.state)
+                 << " record of job \"" << record.id << "\": " << e.what();
+  }
 }
 
 JobProgress JobScheduler::progress_of(const Job& job) const {

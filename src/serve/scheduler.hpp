@@ -218,6 +218,10 @@ class JobScheduler {
     std::vector<std::size_t> attempts;  ///< transient retries used per unit
     bool cancel_requested = false;
     bool fail_requested = false;
+    /// The terminal state is decided and its record is being written;
+    /// the state is published once that write returns. Watchdog, cancel
+    /// and drain leave such a job alone.
+    bool finalizing = false;
     /// Bounded per-job event ring (job/unit lifecycle + convergence
     /// progress published by the campaign layer). Readers that fall
     /// behind lose the oldest events, never block writers.
@@ -232,7 +236,8 @@ class JobScheduler {
   Admission submit_impl(JobSpec spec, const std::string& request_id);
   void worker_loop();
   /// Fails every running job past its deadline (stuck units cannot be
-  /// preempted, so the terminal state is published immediately).
+  /// preempted, so the failure is published as soon as its record is
+  /// written, without waiting for them).
   void watchdog_loop();
   /// What one unit execution reported. `transient` marks environment
   /// failures (file/socket I/O) eligible for bounded retry, as opposed
@@ -243,11 +248,22 @@ class JobScheduler {
   };
   /// Runs one claimed unit (no scheduler lock held).
   UnitOutcome run_unit(Job& job, std::size_t unit);
-  /// Terminal-state transition once nothing is running; returns the
-  /// record to persist (caller writes it outside the scheduler lock).
-  std::optional<JobRecord> maybe_finalize(Job& job);
+  /// Terminal-state transition once nothing is running. With `lk` held
+  /// on entry: decides the state, writes job.json with it outside the
+  /// lock, then publishes it, so a client that sees a terminal state
+  /// finds it on disk too. No-op while units remain or the job is
+  /// already terminal or finalizing.
+  void maybe_finalize(std::unique_lock<std::mutex>& lk, Job& job);
+  /// Marks `job` finalizing toward `state`; returns the record to write.
+  JobRecord begin_finalize(Job& job, JobState state);
+  /// Publishes the state a finalizing job's record was written with.
+  void end_finalize(Job& job, JobState state);
   JobRecord record_of(const Job& job) const;
   void persist_record(Job& job, const JobRecord& record);
+  /// persist_record for a running daemon: a write error (ENOSPC, EIO) is
+  /// logged, not thrown, since in-memory state stays authoritative for
+  /// this process and recover() copes with whatever job.json last held.
+  void persist_record_logged(Job& job, const JobRecord& record);
   JobProgress progress_of(const Job& job) const;
   std::size_t active_jobs_locked() const;
 

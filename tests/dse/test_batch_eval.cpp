@@ -162,19 +162,6 @@ TEST(BatchAdapter, MatchesScalarResults) {
   }
 }
 
-TEST(EvaluateGenomeBatch, RejectsUndersizedBuffers) {
-  const DesignSpace space(tiny_space_config());
-  const auto scalar = make_full_model_objective(shared_evaluator());
-  const auto batch = make_batch_adapter(space, scalar);
-  util::Rng rng(3);
-  const std::vector<Genome> genomes{space.random_genome(rng)};
-  std::vector<double> values(batch->arity());
-  std::vector<std::uint8_t> counts;  // too small
-  EXPECT_THROW(
-      evaluate_genome_batch(*batch, genomes, values, counts),
-      std::invalid_argument);
-}
-
 TEST(EvalScratch, RepeatedEvaluationsMatchFreshOnes) {
   // The allocation-free overload must not leak state between calls, even
   // across feasible/infeasible transitions.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace wsnex::dse {
@@ -207,6 +210,169 @@ TEST(Optimizers, CountingObjectiveCounts) {
     (void)counting(space.decode(space.random_genome(rng)));
   }
   EXPECT_EQ(counting.count(), 10u);
+}
+
+/// Records every call that reaches the wrapped objective, in call order:
+/// how many evaluations the optimizers' genome memo saved, and a
+/// reference for what it must not lose.
+class RecordingObjective final : public BatchObjectiveFunction {
+ public:
+  explicit RecordingObjective(const BatchObjectiveFunction& inner)
+      : inner_(inner) {}
+
+  std::size_t arity() const override { return inner_.arity(); }
+  std::size_t worker_slots() const override { return 1; }
+  std::size_t evaluate(const Genome& genome, std::span<double> out,
+                       std::size_t worker) const override {
+    const std::size_t n = inner_.evaluate(genome, out, worker);
+    calls.push_back({genome, Objectives(out.begin(), out.begin() + n)});
+    return n;
+  }
+
+  /// Genome and objective vector of each call (empty = infeasible).
+  mutable std::vector<ArchiveEntry> calls;
+
+ private:
+  const BatchObjectiveFunction& inner_;
+};
+
+/// A run through RecordingObjective against the same run without it: the
+/// same budget counters and archive, and an archive equal to offering
+/// every recorded call, in order, to a fresh one (a memo hit skips only
+/// inserts that would change nothing).
+void expect_exact_replay(const DseResult& recorded, const DseResult& plain,
+                         const RecordingObjective& objective) {
+  EXPECT_EQ(recorded.evaluations, plain.evaluations);
+  EXPECT_EQ(recorded.infeasible_count, plain.infeasible_count);
+  EXPECT_TRUE(same_entries(recorded.archive, plain.archive));
+  EXPECT_GT(recorded.archive.size(), 0u);
+
+  ParetoArchive replayed;
+  std::size_t infeasible_calls = 0;
+  for (const ArchiveEntry& call : objective.calls) {
+    if (call.objectives.empty()) {
+      ++infeasible_calls;
+    } else {
+      replayed.insert(call.genome, call.objectives);
+    }
+  }
+  EXPECT_TRUE(same_entries(replayed, recorded.archive));
+  EXPECT_LE(infeasible_calls, recorded.infeasible_count);
+  EXPECT_LE(objective.calls.size(), recorded.evaluations);
+}
+
+TEST(GenomeMemo, KeepsBudgetsAndArchivesWithFewerObjectiveCalls) {
+  const DesignSpace space(DesignSpaceConfig::case_study(6));
+  const auto memo =
+      make_memoized_full_model_objective(shared_evaluator(), space);
+  const auto scalar = make_full_model_objective(shared_evaluator());
+
+  Nsga2Options nsga2;
+  nsga2.population = 32;
+  nsga2.generations = 40;
+  nsga2.seed = 5;
+  const RecordingObjective nsga2_calls(*memo);
+  const DseResult a = run_nsga2(space, nsga2_calls, nsga2);
+  EXPECT_EQ(a.evaluations, 32u * 41u);
+  expect_exact_replay(a, run_nsga2(space, *memo, nsga2), nsga2_calls);
+  EXPECT_TRUE(same_entries(a.archive, run_nsga2(space, scalar, nsga2).archive));
+  EXPECT_LT(nsga2_calls.calls.size(), a.evaluations);
+
+  MosaOptions mosa;
+  mosa.iterations = 3000;
+  mosa.seed = 5;
+  const RecordingObjective mosa_calls(*memo);
+  const DseResult b = run_mosa(space, mosa_calls, mosa);
+  EXPECT_GE(b.evaluations, 3001u);
+  EXPECT_LE(b.evaluations, 3001u + 512u);
+  expect_exact_replay(b, run_mosa(space, *memo, mosa), mosa_calls);
+  EXPECT_TRUE(same_entries(b.archive, run_mosa(space, scalar, mosa).archive));
+  EXPECT_LT(mosa_calls.calls.size(), b.evaluations);
+}
+
+/// FNV-1a-64 over an archive's entries in genome order: the genes, then
+/// the bit patterns of the objectives.
+std::uint64_t archive_digest(const ParetoArchive& archive) {
+  std::vector<ArchiveEntry> entries = archive.entries();
+  std::sort(entries.begin(), entries.end(),
+            [](const ArchiveEntry& a, const ArchiveEntry& b) {
+              return a.genome < b.genome;
+            });
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const ArchiveEntry& entry : entries) {
+    for (const std::uint16_t gene : entry.genome) mix(gene);
+    for (const double value : entry.objectives) {
+      mix(std::bit_cast<std::uint64_t>(value));
+    }
+  }
+  return hash;
+}
+
+// The outcomes of one NSGA-II and one MOSA run on the case-study space,
+// pinned from the engine before it had a genome memo. A memo serving a
+// wrong row (two genomes sharing a key, say) steers the search elsewhere
+// and changes them.
+TEST(GenomeMemo, RunsMatchOutcomesPinnedBeforeTheMemo) {
+  const DesignSpace space(DesignSpaceConfig::case_study(6));
+  const auto memo =
+      make_memoized_full_model_objective(shared_evaluator(), space);
+
+  Nsga2Options nsga2;
+  nsga2.population = 32;
+  nsga2.generations = 40;
+  nsga2.seed = 5;
+  const DseResult a = run_nsga2(space, *memo, nsga2);
+  EXPECT_EQ(a.infeasible_count, 215u);
+  EXPECT_EQ(a.archive.size(), 99u);
+  EXPECT_EQ(archive_digest(a.archive), 1054666558203768845ull);
+
+  MosaOptions mosa;
+  mosa.iterations = 3000;
+  mosa.seed = 5;
+  const DseResult b = run_mosa(space, *memo, mosa);
+  EXPECT_EQ(b.evaluations, 3010u);
+  EXPECT_EQ(b.infeasible_count, 592u);
+  EXPECT_EQ(b.archive.size(), 70u);
+  EXPECT_EQ(archive_digest(b.archive), 12711680221393374107ull);
+}
+
+// 7 nodes with 64-point CR and clock grids: 4096^7 * 90 designs, more
+// than 64-bit genome codes can number. The runs go without the memo, so
+// every evaluation reaches the objective.
+TEST(GenomeMemo, SpaceBeyondSixtyFourBitCodesRunsWithoutIt) {
+  DesignSpaceConfig cfg = DesignSpaceConfig::case_study(7);
+  cfg.cr_grid.clear();
+  cfg.mcu_freq_khz_grid.clear();
+  for (int i = 0; i < 64; ++i) {
+    cfg.cr_grid.push_back(0.17 + 0.21 * i / 63.0);
+    cfg.mcu_freq_khz_grid.push_back(1000.0 + 7000.0 * i / 63.0);
+  }
+  const DesignSpace space(cfg);
+  ASSERT_GT(space.cardinality(), 18446744073709551615.0);
+  const auto memo =
+      make_memoized_full_model_objective(shared_evaluator(), space);
+
+  Nsga2Options nsga2;
+  nsga2.population = 16;
+  nsga2.generations = 12;
+  const RecordingObjective nsga2_calls(*memo);
+  const DseResult a = run_nsga2(space, nsga2_calls, nsga2);
+  EXPECT_EQ(a.evaluations, 16u * 13u);
+  EXPECT_EQ(nsga2_calls.calls.size(), a.evaluations);
+  expect_exact_replay(a, run_nsga2(space, *memo, nsga2), nsga2_calls);
+
+  MosaOptions mosa;
+  mosa.iterations = 400;
+  const RecordingObjective mosa_calls(*memo);
+  const DseResult b = run_mosa(space, mosa_calls, mosa);
+  EXPECT_EQ(mosa_calls.calls.size(), b.evaluations);
+  expect_exact_replay(b, run_mosa(space, *memo, mosa), mosa_calls);
 }
 
 }  // namespace

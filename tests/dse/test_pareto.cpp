@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/random.hpp"
 
@@ -119,6 +120,54 @@ TEST(Archive, InvariantUnderRandomInsertions) {
     }
   }
   EXPECT_GT(archive.size(), 5u);
+}
+
+// The optimizers skip the insert for a genome they have already
+// evaluated. That is exact only if offering any earlier vector again
+// (accepted, evicted or rejected then) is rejected and changes nothing.
+// Coordinates come from a 5-value grid, so ties, duplicates and
+// evictions are all common.
+TEST(Archive, RepeatInsertOfAnyEarlierVectorIsANoOp) {
+  util::Rng rng(17);
+  for (const std::size_t m : {std::size_t{2}, std::size_t{3}}) {
+    std::size_t evictions = 0;
+    for (int trial = 0; trial < 25; ++trial) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " trial " +
+                   std::to_string(trial));
+      ParetoArchive archive;
+      std::vector<Objectives> offered;
+      for (std::uint16_t step = 0; step < 120; ++step) {
+        Objectives p(m);
+        for (double& v : p) v = static_cast<double>(rng.index(5));
+        const std::size_t size_before = archive.size();
+        if (archive.insert(Genome{step}, std::span<const double>(p)) &&
+            archive.size() <= size_before) {
+          ++evictions;
+        }
+        offered.push_back(p);
+
+        const Objectives& again = offered[rng.index(offered.size())];
+        const std::vector<ArchiveEntry> entries = archive.entries();
+        const std::vector<double> flat = archive.objectives_flat();
+        const std::uint64_t revision = archive.revision();
+        // Both overloads, and a genome the archive has never seen: the
+        // objective vector alone decides.
+        const bool accepted =
+            step % 2 == 0
+                ? archive.insert(Genome{999}, again)
+                : archive.insert(Genome{999}, std::span<const double>(again));
+        ASSERT_FALSE(accepted);
+        ASSERT_EQ(archive.revision(), revision);
+        ASSERT_EQ(archive.objectives_flat(), flat);
+        ASSERT_EQ(archive.size(), entries.size());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          ASSERT_EQ(archive.entries()[i].genome, entries[i].genome);
+          ASSERT_EQ(archive.entries()[i].objectives, entries[i].objectives);
+        }
+      }
+    }
+    EXPECT_GT(evictions, 0u);  // the evicted-then-reoffered case ran
+  }
 }
 
 TEST(Coverage, FullAndEmpty) {

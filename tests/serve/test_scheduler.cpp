@@ -568,5 +568,74 @@ TEST_F(SchedulerTest, ExhaustedTransientRetriesFailTheJob) {
   }
 }
 
+TEST_F(SchedulerTest, JobRecordWriteErrorsAreLoggedNotFatal) {
+  if (!util::failpoint::compiled_in()) {
+    GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  }
+  FailpointGuard guard;
+  JobScheduler scheduler(options(/*slots=*/1));
+  ASSERT_EQ(scheduler.submit(validation_job("first", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  // Every job.json write after admission fails: the "running" record and
+  // the terminal one. Neither may take the worker thread (and with it
+  // the daemon) down.
+  util::failpoint::configure("serve.job_record=error(ENOSPC)");
+  scheduler.start();
+  EXPECT_EQ(wait_terminal(scheduler, "first").state, JobState::kComplete);
+  EXPECT_GE(util::failpoint::hits("serve.job_record"), 2u);
+
+  // The same worker still serves the next job.
+  util::failpoint::reset();
+  ASSERT_EQ(scheduler.submit(validation_job("second", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  EXPECT_EQ(wait_terminal(scheduler, "second").state, JobState::kComplete);
+  const std::string record =
+      read_file(fs::path(scheduler.shard_dir("second")) / "job.json");
+  EXPECT_NE(record.find("\"complete\""), std::string::npos) << record;
+}
+
+TEST_F(SchedulerTest, TerminalStateIsPublishedOnlyOnceItsRecordIsOnDisk) {
+  if (!util::failpoint::compiled_in()) {
+    GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  }
+  FailpointGuard guard;
+  JobScheduler scheduler(options(/*slots=*/1));
+  ASSERT_EQ(scheduler.submit(validation_job("slow", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  // After admission, write 1 is the "running" record and write 2 the
+  // terminal one; stall the terminal write so a premature publish shows.
+  util::failpoint::configure("serve.job_record=sleep(400)#2");
+  scheduler.start();
+  const fs::path record_path =
+      fs::path(scheduler.shard_dir("slow")) / "job.json";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  std::size_t polls_while_finalizing = 0;
+  for (;;) {
+    const std::optional<JobProgress> progress = scheduler.status("slow");
+    ASSERT_TRUE(progress.has_value());
+    if (is_terminal(progress->state)) {
+      EXPECT_EQ(progress->state, JobState::kComplete);
+      const std::string record = read_file(record_path);
+      EXPECT_NE(record.find("\"complete\""), std::string::npos) << record;
+      break;
+    }
+    if (progress->units_done == 1) ++polls_while_finalizing;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The poll loop really ran inside the stalled write.
+  EXPECT_GT(polls_while_finalizing, 5u);
+  const std::shared_ptr<util::events::EventRing> ring =
+      scheduler.events("slow");
+  std::vector<util::events::Event> events;
+  ring->read_since(0, events, nullptr);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().kind, util::events::Kind::kJobFinished);
+}
+
 }  // namespace
 }  // namespace wsnex::serve
